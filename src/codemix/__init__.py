@@ -28,7 +28,6 @@ from .models import (
     ModelKind,
     TrainConfig,
     fit,
-    predict,
     predict_batch,
     predict_scores,
 )
@@ -37,13 +36,11 @@ from .vectorize import (
     Analyzer,
     AnalyzerKind,
     DocMode,
-    SparseVector,
     TfIdfModel,
     Vocabulary,
     fit_tfidf,
-    fit_vocabulary,
+    fit_transform,
     prepare_documents,
-    transform,
     transform_batch,
 )
 
@@ -71,7 +68,6 @@ __all__ = [
     "ParseError",
     "PipelineConfig",
     "Sentiment",
-    "SparseVector",
     "TfIdfModel",
     "Token",
     "TrainConfig",
@@ -83,16 +79,14 @@ __all__ = [
     "default_lexicon",
     "fit",
     "fit_tfidf",
-    "fit_vocabulary",
+    "fit_transform",
     "format_conll",
     "parse_conll",
     "parse_monolingual_csv",
-    "predict",
     "predict_batch",
     "predict_scores",
     "prepare_documents",
     "run_pipeline",
     "score",
-    "transform",
     "transform_batch",
 ]

@@ -42,6 +42,7 @@ from .vectorize import (
     DocMode,
     TfIdfModel,
     fit_tfidf,
+    fit_transform,
     load_tfidf,
     prepare_documents,
     save_tfidf,
@@ -279,45 +280,55 @@ def _write_manifest(path: str, config: RunConfig, facts: dict[str, object]) -> N
         handle.write("\n".join(lines) + "\n")
 
 
-def _read_manifest_settings(model_dir: str) -> Settings:
+def _read_manifest(model_dir: str) -> tuple[dict[str, str], Settings]:
+    """The manifest's run facts and its non-empty config settings."""
     path = os.path.join(model_dir, MANIFEST_FILE)
     _require_file(path, "manifest")
+    facts: dict[str, str] = {}
     settings: Settings = {}
     with open(path, encoding="utf-8") as handle:
         first = handle.readline().rstrip("\n")
         if first != MANIFEST_VERSION:
             raise DataError(f"not a {MANIFEST_VERSION} file: {path}")
         for raw in handle:
-            line = raw.rstrip("\n")
-            if not line.startswith("config."):
-                continue
-            key, _, value = line[len("config.") :].partition("=")
-            section, _, option = key.partition(".")
-            if value and section in _SCHEMA and option in _SCHEMA[section]:
-                settings[(section, option)] = value
-    return settings
+            key, _, value = raw.rstrip("\n").partition("=")
+            if key.startswith("run."):
+                facts[key.removeprefix("run.")] = value
+            elif key.startswith("config."):
+                section, _, option = key.removeprefix("config.").partition(".")
+                if option not in _SCHEMA.get(section, {}):
+                    raise DataError(f"unknown manifest key {key} in {path}")
+                if value:
+                    settings[(section, option)] = value
+    return facts, settings
+
+
+def _artifact_facts(tfidf: TfIdfModel, classifier: Classifier) -> dict[str, object]:
+    """The manifest's run facts that the tfidf and model artifacts determine."""
+    return {
+        "model": classifier.kind.value,
+        "doc_mode": tfidf.mode.value,
+        "dimension": tfidf.dim,
+        "word_vocab_size": len(tfidf.word_vocab),
+        "char_vocab_size": len(tfidf.char_vocab),
+    }
 
 
 def _train_to_dir(config: RunConfig, dataset: Dataset, out_dir: str) -> TfIdfModel:
     lexicon = _load_lexicon(config)
     texts = _preprocess_texts(config, dataset, lexicon)
     docs = prepare_documents(dataset, config.doc_mode, texts)
-    tfidf = fit_tfidf(docs, config.doc_mode, config.word_analyzer, config.char_analyzer)
-    vectors = transform_batch(tfidf, texts)
+    if config.doc_mode is DocMode.ALL_DOCUMENTS:
+        tfidf, features = fit_transform(docs, config.doc_mode, config.word_analyzer, config.char_analyzer)
+    else:
+        tfidf = fit_tfidf(docs, config.doc_mode, config.word_analyzer, config.char_analyzer)
+        features = transform_batch(tfidf, texts)
     labels = require_labels(dataset)
-    classifier = fit(vectors, labels, config.train)
+    classifier = fit(features, labels, config.train)
     os.makedirs(out_dir, exist_ok=True)
     save_tfidf(tfidf, os.path.join(out_dir, TFIDF_FILE))
     save_model(classifier, os.path.join(out_dir, MODEL_FILE))
-    facts = {
-        "model": config.train.model_kind.value,
-        "doc_mode": config.doc_mode.value,
-        "seed": config.train.seed,
-        "n_train_tweets": len(dataset),
-        "dimension": tfidf.dim,
-        "word_vocab_size": len(tfidf.word_vocab),
-        "char_vocab_size": len(tfidf.char_vocab),
-    }
+    facts = {**_artifact_facts(tfidf, classifier), "seed": config.train.seed, "n_train_tweets": len(dataset)}
     _write_manifest(os.path.join(out_dir, MANIFEST_FILE), config, facts)
     return tfidf
 
@@ -333,15 +344,18 @@ def _load_artifacts(model_dir: str) -> tuple[TfIdfModel, Classifier, RunConfig]:
         raise DataError(
             f"vectorizer dimension {tfidf.dim} does not match model dimension {classifier.dim}"
         )
-    config = _build_run_config(_read_manifest_settings(model_dir))
-    return tfidf, classifier, config
+    facts, settings = _read_manifest(model_dir)
+    for key, value in _artifact_facts(tfidf, classifier).items():
+        if facts.get(key) != str(value):
+            raise DataError(f"manifest run.{key}={facts.get(key)} does not match the artifacts ({value})")
+    return tfidf, classifier, _build_run_config(settings)
 
 
 def _predict_dataset(model_dir: str, dataset: Dataset) -> list:
     tfidf, classifier, config = _load_artifacts(model_dir)
     lexicon = _load_lexicon(config)
-    vectors = transform_batch(tfidf, _preprocess_texts(config, dataset, lexicon))
-    return predict_batch(classifier, vectors)
+    features = transform_batch(tfidf, _preprocess_texts(config, dataset, lexicon))
+    return predict_batch(classifier, features)
 
 
 def _evaluate_dir(model_dir: str, data_path: str) -> EvalReport:

@@ -119,13 +119,11 @@ class GridRow:
 _GRID_HEADER = ("System", "TF-IDF Input", "Dev Avg F1-Score")
 
 
-def comparison_grid(rows: Sequence[GridRow], comma_separated: bool = False) -> str:
+def comparison_grid(rows: Sequence[GridRow]) -> str:
     """Render the system comparison table, macro-F1 as a two-decimal percent."""
     table = [_GRID_HEADER] + [
         (row.system, row.doc_mode_label, f"{row.report.macro_f1 * 100:.2f}%") for row in rows
     ]
-    if comma_separated:
-        return "\n".join(",".join(cells) for cells in table)
     widths = [max(len(row[col]) for row in table) for col in range(3)]
     rendered = []
     for cells in table:

@@ -17,7 +17,6 @@ from scipy import sparse
 
 from .corpus import Sentiment
 from .errors import ConfigError, DataError, NumericError
-from .vectorize import SparseVector
 
 N_CLASSES = len(Sentiment)
 FORMAT_VERSION = "model v1"
@@ -100,19 +99,6 @@ class MnbModel:
 Classifier = LinearModel | MnbModel
 
 
-def to_csr(vectors: Sequence[SparseVector]) -> sparse.csr_matrix:
-    """Stack sparse vectors into one CSR matrix (one row per vector)."""
-    if not vectors:
-        raise DataError("cannot build a matrix from zero vectors")
-    dims = {vector.dim for vector in vectors}
-    if len(dims) != 1:
-        raise DataError(f"vectors have mixed dimensions {sorted(dims)}")
-    indptr = np.cumsum([0] + [len(vector.indices) for vector in vectors])
-    indices = np.concatenate([np.asarray(v.indices, dtype=np.int64) for v in vectors])
-    data = np.concatenate([np.asarray(v.weights, dtype=np.float64) for v in vectors])
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(vectors), dims.pop()))
-
-
 def softmax_cross_entropy(W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float):
     """Mean softmax cross-entropy plus (lambda/2)*||W||^2 and its gradients.
 
@@ -179,59 +165,50 @@ def mnb_parameters(X, y_idx: np.ndarray, n_classes: int, alpha: float):
     log_likelihood[c, t] = ln((tf_{c,t} + alpha) / (sum_t tf_{c,t} + alpha * dim)).
     """
     n, dim = X.shape
-    counts = np.zeros(n_classes)
-    totals = np.zeros((n_classes, dim))
-    for c in range(n_classes):
-        rows = y_idx == c
-        counts[c] = int(rows.sum())
-        if counts[c]:
-            totals[c] = np.asarray(X[rows].sum(axis=0)).ravel()
+    counts = np.bincount(y_idx, minlength=n_classes)
     if np.any(counts == 0):
         missing = int(np.flatnonzero(counts == 0)[0])
         raise DataError(f"class index {missing} absent from training data")
+    membership = sparse.csr_matrix((np.ones(n), (y_idx, np.arange(n))), shape=(n_classes, n))
+    totals = (membership @ X).toarray()
     log_prior = np.log(counts / n)
     denom = totals.sum(axis=1, keepdims=True) + alpha * dim
     log_likelihood = np.log((totals + alpha) / denom)
     return log_prior, log_likelihood
 
 
-def fit(X: Sequence[SparseVector], y: Sequence[Sentiment], cfg: TrainConfig) -> Classifier:
-    """Train the configured classifier; every class must appear in y."""
-    if len(X) != len(y):
-        raise DataError(f"got {len(X)} vectors for {len(y)} labels")
-    if len(X) < N_CLASSES:
-        raise DataError(f"need at least {N_CLASSES} training samples, got {len(X)}")
+def fit(X: sparse.csr_matrix, y: Sequence[Sentiment], cfg: TrainConfig) -> Classifier:
+    """Train the configured classifier on the rows of X; every class must appear in y."""
+    n = X.shape[0]
+    if n != len(y):
+        raise DataError(f"got {n} rows for {len(y)} labels")
+    if n < N_CLASSES:
+        raise DataError(f"need at least {N_CLASSES} training samples, got {n}")
     for sentiment in Sentiment:
         if sentiment not in y:
             raise DataError(f"class {sentiment.label!r} absent from training data")
-    matrix = to_csr(X)
     y_idx = np.asarray([int(label) for label in y])
     if cfg.model_kind is ModelKind.MNB:
-        log_prior, log_likelihood = mnb_parameters(matrix, y_idx, N_CLASSES, cfg.mnb_alpha)
+        log_prior, log_likelihood = mnb_parameters(X, y_idx, N_CLASSES, cfg.mnb_alpha)
         return MnbModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=cfg.mnb_alpha)
     objective = softmax_cross_entropy if cfg.model_kind is ModelKind.LR else ovr_hinge_objective
-    weights, bias = _gradient_descent(matrix, y_idx, N_CLASSES, cfg, objective)
+    weights, bias = _gradient_descent(X, y_idx, N_CLASSES, cfg, objective)
     return LinearModel(kind=cfg.model_kind, weights=weights, bias=bias)
 
 
-def predict_scores(model: Classifier, x: SparseVector) -> np.ndarray:
-    """Raw class scores (logits, margins, or log-joint), class-ordinal order."""
-    if x.dim != model.dim:
-        raise DataError(f"vector dimension {x.dim} does not match model dimension {model.dim}")
-    idx = np.asarray(x.indices, dtype=np.int64)
-    weights = np.asarray(x.weights)
+def predict_scores(model: Classifier, X: sparse.csr_matrix) -> np.ndarray:
+    """Raw class scores (logits, margins, or log-joint), one row per row of X,
+    columns in class-ordinal order."""
+    if X.shape[1] != model.dim:
+        raise DataError(f"feature dimension {X.shape[1]} does not match model dimension {model.dim}")
     if isinstance(model, MnbModel):
-        return model.log_prior + model.log_likelihood[:, idx] @ weights
-    return model.weights[:, idx] @ weights + model.bias
+        return model.log_prior + X @ model.log_likelihood.T
+    return X @ model.weights.T + model.bias
 
 
-def predict(model: Classifier, x: SparseVector) -> Sentiment:
-    """Argmax of predict_scores; ties go to the lowest class ordinal."""
-    return Sentiment(int(np.argmax(predict_scores(model, x))))
-
-
-def predict_batch(model: Classifier, xs: Sequence[SparseVector]) -> list[Sentiment]:
-    return [predict(model, x) for x in xs]
+def predict_batch(model: Classifier, X: sparse.csr_matrix) -> list[Sentiment]:
+    """Argmax of predict_scores per row; ties go to the lowest class ordinal."""
+    return [Sentiment(int(c)) for c in np.argmax(predict_scores(model, X), axis=1)]
 
 
 def _format_row(values: np.ndarray) -> str:
@@ -267,6 +244,11 @@ def parse_model(text: str) -> Classifier:
         rows = [np.asarray([float(value) for value in line.split(" ")]) for line in lines[1:]]
     except ValueError:
         raise DataError("malformed model parameter line") from None
+    if any(row.shape != (dim + 1,) for row in rows):
+        raise DataError("model parameter lines do not match the stated dimension")
+    params = np.vstack(rows)
+    if not np.all(np.isfinite(params)):
+        raise DataError("model file contains non-finite parameters")
     if kind is ModelKind.MNB:
         if len(fields) != 5:
             raise DataError("mnb model header must carry the smoothing alpha")
@@ -276,28 +258,10 @@ def parse_model(text: str) -> Classifier:
             raise DataError(f"malformed mnb alpha {fields[4]!r}") from None
         if not (alpha > 0 and math.isfinite(alpha)):
             raise DataError(f"mnb alpha must be positive and finite, got {alpha}")
-        if any(row.shape != (dim + 1,) for row in rows):
-            raise DataError("model parameter lines do not match the stated dimension")
-        params = np.vstack(rows)
-        model: Classifier = MnbModel(
-            log_prior=params[:, 0].copy(),
-            log_likelihood=params[:, 1:].copy(),
-            alpha=alpha,
-        )
-    else:
-        if len(fields) != 4:
-            raise DataError(f"malformed model header {lines[0]!r}")
-        if any(row.shape != (dim + 1,) for row in rows):
-            raise DataError("model parameter lines do not match the stated dimension")
-        params = np.vstack(rows)
-        model = LinearModel(kind=kind, weights=params[:, :-1].copy(), bias=params[:, -1].copy())
-    if isinstance(model, MnbModel):
-        finite = np.all(np.isfinite(model.log_prior)) and np.all(np.isfinite(model.log_likelihood))
-    else:
-        finite = np.all(np.isfinite(model.weights)) and np.all(np.isfinite(model.bias))
-    if not finite:
-        raise DataError("model file contains non-finite parameters")
-    return model
+        return MnbModel(log_prior=params[:, 0].copy(), log_likelihood=params[:, 1:].copy(), alpha=alpha)
+    if len(fields) != 4:
+        raise DataError(f"malformed model header {lines[0]!r}")
+    return LinearModel(kind=kind, weights=params[:, :-1].copy(), bias=params[:, -1].copy())
 
 
 def save_model(model: Classifier, path: str) -> None:

@@ -42,9 +42,6 @@ class EmojiLexicon:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
     def name_of(self, key: str) -> str:
         return self._entries[key]
 

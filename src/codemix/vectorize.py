@@ -1,18 +1,24 @@
 """Dual word/character TF-IDF vectorization with two document-preparation modes.
 
 A fitted model holds a word-level and a character-level vocabulary over the
-same training documents; transforming a text concatenates the two blocks
-(word indices first, then char indices offset by the word vocabulary size)
-and L2-normalizes the result.  Weights use raw term counts and smoothed
-inverse document frequency ln((1 + N) / (1 + df)) + 1.
+same training documents; transforming texts gives one CSR matrix row per
+text that concatenates the two blocks (word indices first, then char
+indices offset by the word vocabulary size) and is L2-normalized.  Weights
+use raw term counts and smoothed inverse document frequency
+ln((1 + N) / (1 + df)) + 1.
 """
 
 import math
 import re
+from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import repeat
+
+import numpy as np
+from scipy import sparse
 
 from .corpus import Dataset, Sentiment
 from .errors import ConfigError, DataError
@@ -90,24 +96,14 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.term_index)
 
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Strictly index-sorted sparse vector; zero weights are never stored."""
-
-    indices: tuple[int, ...]
-    weights: tuple[float, ...]
-    dim: int
-
-    def __post_init__(self):
-        if len(self.indices) != len(self.weights):
-            raise ValueError("indices and weights must have equal length")
-        if any(w == 0.0 for w in self.weights):
-            raise ValueError("zero weights may not be stored")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ValueError("indices must be strictly increasing")
-        if self.indices and not (0 <= self.indices[0] and self.indices[-1] < self.dim):
-            raise ValueError("indices must lie in [0, dim)")
+    @cached_property
+    def idf(self) -> np.ndarray:
+        """Smoothed idf by feature index, via math.log so that weights do not
+        depend on the numpy build."""
+        idf = np.empty(len(self))
+        for term, index in self.term_index.items():
+            idf[index] = math.log((1 + self.n_documents) / (1 + self.document_frequency[term])) + 1.0
+        return idf
 
 
 @dataclass(frozen=True)
@@ -151,64 +147,97 @@ def prepare_documents(dataset: Dataset, mode: DocMode, preprocessed: Sequence[st
     return [" ".join(buckets[sentiment]) for sentiment in Sentiment]
 
 
-def fit_vocabulary(docs: Iterable[str], analyzer: Analyzer) -> Vocabulary:
-    """Count document frequencies and assign indices in lexicographic term order."""
-    docs = list(docs)
-    if not docs:
-        raise DataError("cannot fit a vocabulary on an empty document list")
-    df: Counter[str] = Counter()
-    for doc in docs:
-        df.update(set(analyzer.terms(doc)))
-    term_index = {term: index for index, term in enumerate(sorted(df))}
-    return Vocabulary(term_index=term_index, document_frequency=dict(df), n_documents=len(docs))
+def count_terms(
+    texts: Iterable[str], analyzer: Analyzer, vocab: Vocabulary | None = None
+) -> tuple[Vocabulary, sparse.csr_matrix]:
+    """Term-count matrix of texts (one row per text, indices sorted in each row).
+
+    Without a vocabulary this fits one: terms get ids as they are first seen,
+    are then renumbered in lexicographic order, and each term's document
+    frequency is the number of rows it occurs in.  With a vocabulary,
+    out-of-vocabulary terms are dropped.
+    """
+    fitting = vocab is None
+    if fitting:
+        term_index: dict[str, int] = defaultdict()
+        term_index.default_factory = term_index.__len__
+    else:
+        term_index = vocab.term_index
+    ids: list[int] = []  # one id per term occurrence, -1 when out of vocabulary
+    bounds = [0]
+    for text in texts:
+        grams = analyzer.terms(text)
+        ids += map(term_index.__getitem__, grams) if fitting else map(term_index.get, grams, repeat(-1))
+        bounds.append(len(ids))
+    columns = np.array(ids, dtype=np.int64)
+    del ids
+    if fitting:  # renumber by rank; argsort inverts the lexicographic -> first-seen id permutation
+        terms = sorted(term_index)
+        columns = np.argsort([term_index[term] for term in terms])[columns]
+    known = columns >= 0
+    indptr = np.concatenate(([0], np.cumsum(known)))[bounds]
+    shape = (len(bounds) - 1, len(term_index))
+    counts = sparse.csr_matrix((np.ones(indptr[-1]), columns[known], indptr), shape=shape)
+    counts.sum_duplicates()  # sorts each row by column and adds up the 1.0 of each occurrence
+    if fitting:
+        df = np.bincount(counts.indices, minlength=len(terms))
+        vocab = Vocabulary(
+            term_index=dict(zip(terms, range(len(terms)))),
+            document_frequency=dict(zip(terms, df.tolist())),
+            n_documents=shape[0],
+        )
+    return vocab, counts
 
 
-def fit_tfidf(
+def _tfidf(model: TfIdfModel, word_counts: sparse.csr_matrix, char_counts: sparse.csr_matrix) -> sparse.csr_matrix:
+    """Weight both count blocks by idf, join them and L2-normalize every row."""
+    for counts, vocab in ((word_counts, model.word_vocab), (char_counts, model.char_vocab)):
+        counts.data *= vocab.idf[counts.indices]
+    matrix = sparse.hstack([word_counts, char_counts], format="csr")
+    # Python's sum over each row in index order, the reference arithmetic in
+    # tests/oracles.py: np.add.reduceat sums pairwise, which changes the last
+    # bits of the weights and so the saved models.
+    squares = matrix.data * matrix.data
+    bounds = matrix.indptr.tolist()
+    norms = [math.sqrt(sum(squares[a:b].tolist())) for a, b in zip(bounds, bounds[1:])]
+    matrix.data /= np.repeat(norms, np.diff(matrix.indptr))
+    return matrix
+
+
+def fit_transform(
     docs: Iterable[str],
     mode: DocMode,
     word_analyzer: Analyzer = DEFAULT_WORD_ANALYZER,
     char_analyzer: Analyzer = DEFAULT_CHAR_ANALYZER,
-) -> TfIdfModel:
-    """Fit the word and char vocabularies on the same documents."""
+) -> tuple[TfIdfModel, sparse.csr_matrix]:
+    """Fit the word and char vocabularies on docs and return the docs' TF-IDF
+    matrix, reading each document once."""
     docs = list(docs)
-    return TfIdfModel(
-        word_vocab=fit_vocabulary(docs, word_analyzer),
-        char_vocab=fit_vocabulary(docs, char_analyzer),
+    if not docs:
+        raise DataError("cannot fit a vocabulary on an empty document list")
+    word_vocab, word_counts = count_terms(docs, word_analyzer)
+    char_vocab, char_counts = count_terms(docs, char_analyzer)
+    model = TfIdfModel(
+        word_vocab=word_vocab,
+        char_vocab=char_vocab,
         word_analyzer=word_analyzer,
         char_analyzer=char_analyzer,
         mode=mode,
     )
+    return model, _tfidf(model, word_counts, char_counts)
 
 
-def _idf(vocab: Vocabulary, term: str) -> float:
-    return math.log((1 + vocab.n_documents) / (1 + vocab.document_frequency[term])) + 1.0
+def fit_tfidf(*args, **kwargs) -> TfIdfModel:
+    """The model of fit_transform(*args, **kwargs), without the matrix."""
+    return fit_transform(*args, **kwargs)[0]
 
 
-def _accumulate(entries: dict[int, float], vocab: Vocabulary, analyzer: Analyzer, text: str, offset: int) -> None:
-    for term, tf in Counter(analyzer.terms(text)).items():
-        index = vocab.term_index.get(term)
-        if index is not None:
-            entries[offset + index] = tf * _idf(vocab, term)
-
-
-def transform(model: TfIdfModel, text: str) -> SparseVector:
-    """TF-IDF vector of a single text; out-of-vocabulary terms are ignored."""
-    entries: dict[int, float] = {}
-    _accumulate(entries, model.word_vocab, model.word_analyzer, text, offset=0)
-    _accumulate(entries, model.char_vocab, model.char_analyzer, text, offset=len(model.word_vocab))
-    items = sorted(entries.items())
-    norm = math.sqrt(sum(weight * weight for _, weight in items))
-    if norm == 0.0:
-        return SparseVector(indices=(), weights=(), dim=model.dim)
-    return SparseVector(
-        indices=tuple(index for index, _ in items),
-        weights=tuple(weight / norm for _, weight in items),
-        dim=model.dim,
-    )
-
-
-def transform_batch(model: TfIdfModel, texts: Iterable[str]) -> list[SparseVector]:
-    return [transform(model, text) for text in texts]
+def transform_batch(model: TfIdfModel, texts: Iterable[str]) -> sparse.csr_matrix:
+    """TF-IDF matrix of texts, one row per text; out-of-vocabulary terms are ignored."""
+    texts = list(texts)
+    word_counts = count_terms(texts, model.word_analyzer, model.word_vocab)[1]
+    char_counts = count_terms(texts, model.char_analyzer, model.char_vocab)[1]
+    return _tfidf(model, word_counts, char_counts)
 
 
 def _escape_term(term: str) -> str:

@@ -3,10 +3,12 @@
 Everything here is deliberately written with plain loops and math.* so it
 shares no code with the library: dense TF-IDF, per-class F1 counting, MNB
 closed-form estimates, finite-difference gradients and dense score
-evaluation.
+evaluation.  The ``frozen_*`` functions keep the original per-vector
+TF-IDF transform and per-row scorer, which the matrix code must reproduce.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -69,11 +71,49 @@ def dense_tfidf(train_docs, query, word_range=(1, 1), char_range=(2, 5)):
     return vector
 
 
-def sparse_to_dense(vector):
-    dense = [0.0] * vector.dim
-    for index, weight in zip(vector.indices, vector.weights):
-        dense[index] = weight
+def row_to_dense(matrix, row):
+    """Dense list of one CSR matrix row."""
+    dense = [0.0] * matrix.shape[1]
+    start, end = matrix.indptr[row], matrix.indptr[row + 1]
+    for index, weight in zip(matrix.indices[start:end], matrix.data[start:end]):
+        dense[int(index)] = float(weight)
     return dense
+
+
+def frozen_idf(vocab, term):
+    return math.log((1 + vocab.n_documents) / (1 + vocab.document_frequency[term])) + 1.0
+
+
+def frozen_accumulate(entries, vocab, terms, offset):
+    for term, tf in Counter(terms).items():
+        index = vocab.term_index.get(term)
+        if index is not None:
+            entries[offset + index] = tf * frozen_idf(vocab, term)
+
+
+def frozen_transform(model, text):
+    """(indices, weights) of one text's TF-IDF vector, computed per vector.
+
+    ``model`` needs word_vocab/char_vocab (term_index, document_frequency,
+    n_documents) and word_analyzer/char_analyzer (ngram_min, ngram_max).
+    """
+    entries = {}
+    word, char = model.word_analyzer, model.char_analyzer
+    frozen_accumulate(entries, model.word_vocab, word_terms(text, word.ngram_min, word.ngram_max), 0)
+    frozen_accumulate(
+        entries, model.char_vocab, char_terms(text, char.ngram_min, char.ngram_max), len(model.word_vocab.term_index)
+    )
+    items = sorted(entries.items())
+    norm = math.sqrt(sum(weight * weight for _, weight in items))
+    if norm == 0.0:
+        return (), ()
+    return tuple(index for index, _ in items), tuple(weight / norm for _, weight in items)
+
+
+def frozen_predict(weights, bias, indices, values):
+    """Per-row argmax of weights[:, indices] @ values + bias, ties to the lowest class."""
+    idx = np.asarray(indices, dtype=np.int64)
+    return int(np.argmax(weights[:, idx] @ np.asarray(values, dtype=float) + bias))
 
 
 def f1_report(gold, pred):

@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 import synth
@@ -28,7 +29,7 @@ from codemix.corpus import (
     parse_conll,
 )
 from codemix.evaluation import score
-from codemix.models import ModelKind, TrainConfig, fit, ovr_hinge_objective, to_csr
+from codemix.models import ModelKind, TrainConfig, fit, ovr_hinge_objective
 from codemix.preprocess import (
     PipelineConfig,
     collapse_elongation,
@@ -42,10 +43,9 @@ from codemix.vectorize import (
     Analyzer,
     AnalyzerKind,
     DocMode,
-    SparseVector,
     fit_tfidf,
     prepare_documents,
-    transform,
+    transform_batch,
 )
 
 SEMEVAL_ENV_VAR = "CODEMIX_SEMEVAL_DIR"
@@ -104,9 +104,11 @@ def test_tfidf_matches_dense_oracle_on_random_corpora():
         word_analyzer = Analyzer(AnalyzerKind.WORD, 1, 1)
         model = fit_tfidf(docs, mode, word_analyzer, char_analyzer)
         char_range = (char_analyzer.ngram_min, char_analyzer.ngram_max)
-        for query in texts + ["ab cab", ""]:
+        queries = texts + ["ab cab", ""]
+        matrix = transform_batch(model, queries)
+        for row, query in enumerate(queries):
             expected = oracles.dense_tfidf(docs, query, (1, 1), char_range)
-            actual = oracles.sparse_to_dense(transform(model, query))
+            actual = oracles.row_to_dense(matrix, row)
             assert len(expected) == len(actual)
             for want, got in zip(expected, actual):
                 assert abs(want - got) < 1e-12
@@ -123,16 +125,8 @@ def test_mnb_matches_closed_form_oracle():
         labels = rng.integers(0, 3, size=n)
         labels[:3] = [0, 1, 2]
         alpha = float(rng.choice([0.5, 1.0, 2.0, float(rng.uniform(0.1, 3.0))]))
-        vectors = [
-            SparseVector(
-                tuple(int(i) for i in np.flatnonzero(row)),
-                tuple(float(v) for v in row[np.flatnonzero(row)]),
-                dim,
-            )
-            for row in counts
-        ]
         model = fit(
-            vectors,
+            sparse.csr_matrix(counts),
             [Sentiment(int(c)) for c in labels],
             TrainConfig(model_kind=ModelKind.MNB, mnb_alpha=alpha),
         )
@@ -173,17 +167,15 @@ def test_lr_gradient_check():
 
 def _separable_toy_set(seed, points_per_class=8, dim=9):
     rng = np.random.default_rng(seed)
-    vectors, labels = [], []
+    points, labels = [], []
     for c in range(3):
         prototype = np.zeros(dim)
         prototype[3 * c : 3 * c + 3] = rng.uniform(0.5, 1.0, 3)
         for _ in range(points_per_class):
             point = prototype + rng.uniform(0.0, 0.2, dim)
-            point /= np.linalg.norm(point)
-            indices = tuple(int(i) for i in np.flatnonzero(point))
-            vectors.append(SparseVector(indices, tuple(float(v) for v in point[list(indices)]), dim))
+            points.append(point / np.linalg.norm(point))
             labels.append(Sentiment(c))
-    return vectors, labels
+    return sparse.csr_matrix(np.asarray(points)), labels
 
 
 def test_svm_separability_across_seeds():
@@ -191,7 +183,7 @@ def test_svm_separability_across_seeds():
     successes = 0
     n_seeds = 50
     for seed in range(n_seeds):
-        vectors, labels = _separable_toy_set(seed)
+        matrix, labels = _separable_toy_set(seed)
         config = TrainConfig(
             model_kind=ModelKind.SVM,
             l2_lambda=0.0,
@@ -200,8 +192,7 @@ def test_svm_separability_across_seeds():
             batch_size=64,
             seed=seed,
         )
-        model = fit(vectors, labels, config)
-        matrix = to_csr(vectors)
+        model = fit(matrix, labels, config)
         y_idx = np.asarray([int(label) for label in labels])
         hinge = ovr_hinge_objective(model.weights, model.bias, matrix, y_idx, 0.0)[0]
         accuracy = float((np.asarray(matrix @ model.weights.T + model.bias).argmax(axis=1) == y_idx).mean())

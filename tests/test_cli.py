@@ -164,6 +164,27 @@ class TestEvalCommand:
         assert code == 3
         assert "dimension" in err
 
+    @pytest.mark.parametrize("key", ["dimension", "word_vocab_size", "char_vocab_size", "model", "doc_mode"])
+    def test_manifest_run_fact_contradicting_artifacts(self, workspace, capsys, key):
+        assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
+        manifest = workspace / "out" / "manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        assert sum(line.startswith(f"run.{key}=") for line in lines) == 1
+        tampered = [f"run.{key}=7" if line.startswith(f"run.{key}=") else line for line in lines]
+        manifest.write_text("\n".join(tampered) + "\n", encoding="utf-8")
+        code, _, err = run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)
+        assert code == 3
+        assert f"run.{key}=7" in err
+
+    @pytest.mark.parametrize("line", ["config.train.momentum=0.9", "config.cache.dir=x", "config.train="])
+    def test_unknown_manifest_config_key_is_data_error(self, workspace, capsys, line):
+        assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
+        manifest = workspace / "out" / "manifest.txt"
+        manifest.write_text(manifest.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+        code, _, err = run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)
+        assert code == 3
+        assert "unknown manifest key" in err
+
     def test_unlabeled_data_is_data_error(self, workspace, capsys):
         assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
         unlabeled = Dataset(

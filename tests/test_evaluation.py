@@ -140,9 +140,3 @@ class TestComparisonGrid:
 
     def test_empty_rows_render_header_only(self):
         assert comparison_grid([]).splitlines() == ["System  TF-IDF Input  Dev Avg F1-Score"]
-
-    def test_comma_separated_mode(self):
-        rows = [GridRow("LR", "all documents", FakeReport(0.4960))]
-        assert comparison_grid(rows, comma_separated=True) == (
-            "System,TF-IDF Input,Dev Avg F1-Score\nLR,all documents,49.60%"
-        )

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
 from codemix.corpus import Sentiment
@@ -18,19 +19,16 @@ from codemix.models import (
     mnb_parameters,
     ovr_hinge_objective,
     parse_model,
-    predict,
     predict_batch,
     predict_scores,
     save_model,
     softmax_cross_entropy,
-    to_csr,
 )
-from codemix.vectorize import SparseVector
 
 
-def sv(dense):
-    indices = tuple(i for i, v in enumerate(dense) if v)
-    return SparseVector(indices, tuple(float(dense[i]) for i in indices), len(dense))
+def csr(rows):
+    """CSR matrix of dense rows, zeros not stored."""
+    return sparse.csr_matrix(np.asarray(rows, dtype=float))
 
 
 def separable_points():
@@ -43,7 +41,7 @@ def separable_points():
         ([0.0, 0.0, 1.0], Sentiment.POSITIVE),
         ([0.1, 0.0, 0.9], Sentiment.POSITIVE),
     ]
-    return [sv(p) for p, _ in points], [label for _, label in points]
+    return csr([p for p, _ in points]), [label for _, label in points]
 
 
 def random_problem(rng, n=12, dim=10):
@@ -72,21 +70,10 @@ class TestTrainConfig:
         assert TrainConfig(model_kind=ModelKind.SVM, learning_rate=0.7).resolved_learning_rate == 0.7
 
 
-class TestToCsr:
-    def test_matches_dense(self):
-        vectors = [sv([0.0, 2.0, 0.0]), sv([1.0, 0.0, 3.0]), sv([0.0, 0.0, 0.0])]
-        matrix = to_csr(vectors).toarray()
-        assert matrix.tolist() == [[0.0, 2.0, 0.0], [1.0, 0.0, 3.0], [0.0, 0.0, 0.0]]
-
-    def test_mixed_dimensions_rejected(self):
-        with pytest.raises(DataError):
-            to_csr([sv([1.0]), sv([1.0, 2.0])])
-
-
 class TestMnb:
     def test_hand_computed_two_class_example(self):
         # one sample per class: A has term x twice, B has term y once; alpha=1
-        X = to_csr([sv([2.0, 0.0]), sv([0.0, 1.0])])
+        X = csr([[2.0, 0.0], [0.0, 1.0]])
         log_prior, log_likelihood = mnb_parameters(X, np.array([0, 1]), 2, alpha=1.0)
         assert log_prior == pytest.approx([math.log(0.5), math.log(0.5)], abs=1e-15)
         assert log_likelihood[0] == pytest.approx([math.log(3 / 4), math.log(1 / 4)], abs=1e-15)
@@ -101,7 +88,7 @@ class TestMnb:
             labels[:3] = [0, 1, 2]
             alpha = float(rng.uniform(0.1, 2.0))
             model = fit(
-                [sv(row) for row in counts],
+                csr(counts),
                 [Sentiment(int(c)) for c in labels],
                 TrainConfig(model_kind=ModelKind.MNB, mnb_alpha=alpha),
             )
@@ -113,7 +100,7 @@ class TestMnb:
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 9, size=(12, 6)).astype(float)
         labels = [Sentiment(int(c)) for c in np.arange(12) % 3]
-        model = fit([sv(row) for row in counts], labels, TrainConfig(model_kind=ModelKind.MNB))
+        model = fit(csr(counts), labels, TrainConfig(model_kind=ModelKind.MNB))
         assert abs(np.exp(model.log_prior).sum() - 1.0) < 1e-9
         for c in range(3):
             assert abs(np.exp(model.log_likelihood[c]).sum() - 1.0) < 1e-9
@@ -124,18 +111,24 @@ class TestMnb:
         rng = np.random.default_rng(7)
         counts = rng.integers(0, 5, size=(9, 5)).astype(float)
         labels = [Sentiment(int(c)) for c in np.arange(9) % 3]
-        model = fit([sv(row) for row in counts], labels, TrainConfig(model_kind=ModelKind.MNB))
-        for _ in range(25):
-            x = rng.integers(0, 4, size=5).astype(float)
-            for k in (2, 3, 10):
-                assert predict(model, sv(x)) == predict(model, sv(k * x))
+        model = fit(csr(counts), labels, TrainConfig(model_kind=ModelKind.MNB))
+        x = rng.integers(0, 4, size=(25, 5)).astype(float)
+        for k in (2, 3, 10):
+            assert predict_batch(model, csr(x)) == predict_batch(model, csr(k * x))
 
     def test_zero_vector_prediction_is_prior_argmax(self):
         X, y = separable_points()
         model = fit(X, y, TrainConfig(model_kind=ModelKind.MNB))
-        zero = SparseVector((), (), 3)
-        assert np.array_equal(predict_scores(model, zero), model.log_prior)
-        assert predict(model, zero) == Sentiment(int(np.argmax(model.log_prior)))
+        zero = sparse.csr_matrix((1, 3))
+        assert np.array_equal(predict_scores(model, zero)[0], model.log_prior)
+        assert predict_batch(model, zero) == [Sentiment(int(np.argmax(model.log_prior)))]
+
+    def test_equal_priors_and_empty_row_predict_negative(self):
+        counts = np.random.default_rng(8).integers(1, 5, size=(6, 4)).astype(float)
+        labels = [Sentiment(int(c)) for c in np.arange(6) % 3]
+        model = fit(csr(counts), labels, TrainConfig(model_kind=ModelKind.MNB))
+        assert model.log_prior[0] == model.log_prior[1] == model.log_prior[2]
+        assert predict_batch(model, sparse.csr_matrix((2, 4))) == [Sentiment.NEGATIVE] * 2
 
 
 class TestLogisticRegression:
@@ -160,7 +153,7 @@ class TestLogisticRegression:
             assert rel_b < 1e-4
 
     def test_probability_of_repeated_class_grows_monotonically(self):
-        X = to_csr([sv([1.0, 0.0, 0.0])] * 4)
+        X = csr([[1.0, 0.0, 0.0]] * 4)
         y = np.zeros(4, dtype=int)
         probs = []
         for epochs in (1, 2, 4, 8, 16):
@@ -191,11 +184,10 @@ class TestSvm:
         X, y = separable_points()
         cfg = TrainConfig(model_kind=ModelKind.SVM, l2_lambda=0.0, learning_rate=0.5, epochs=300, batch_size=6, seed=1)
         model = fit(X, y, cfg)
-        matrix = to_csr(X)
         y_idx = np.array([int(s) for s in y])
-        hinge, _, _ = ovr_hinge_objective(model.weights, model.bias, matrix, y_idx, 0.0)
+        hinge, _, _ = ovr_hinge_objective(model.weights, model.bias, X, y_idx, 0.0)
         assert hinge == 0.0
-        scores = np.asarray(matrix @ model.weights.T) + model.bias
+        scores = np.asarray(X @ model.weights.T) + model.bias
         targets = np.full(scores.shape, -1.0)
         targets[np.arange(len(y)), y_idx] = 1.0
         assert (targets * scores).min() >= 1.0
@@ -203,7 +195,6 @@ class TestSvm:
 
     def test_objective_non_increasing_with_small_full_batch_steps(self):
         X, y = separable_points()
-        matrix = to_csr(X)
         y_idx = np.array([int(s) for s in y])
         previous = None
         for epochs in range(1, 21):
@@ -211,7 +202,7 @@ class TestSvm:
                 model_kind=ModelKind.SVM, l2_lambda=1e-4, learning_rate=0.01, epochs=epochs, batch_size=100, seed=0
             )
             model = fit(X, y, cfg)
-            objective = ovr_hinge_objective(model.weights, model.bias, matrix, y_idx, 1e-4)[0]
+            objective = ovr_hinge_objective(model.weights, model.bias, X, y_idx, 1e-4)[0]
             if previous is not None:
                 assert objective <= previous + 1e-8
             previous = objective
@@ -236,7 +227,7 @@ class TestSvm:
 
 class TestFitValidation:
     def test_missing_class_rejected(self):
-        X = [sv([1.0, 0.0]), sv([0.0, 1.0]), sv([1.0, 1.0])]
+        X = csr([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         y = [Sentiment.POSITIVE, Sentiment.POSITIVE, Sentiment.NEUTRAL]
         with pytest.raises(DataError, match="negative"):
             fit(X, y, TrainConfig())
@@ -248,13 +239,11 @@ class TestFitValidation:
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DataError):
-            fit([sv([1.0])], [Sentiment.NEGATIVE], TrainConfig())
+            fit(csr([[1.0]]), [Sentiment.NEGATIVE], TrainConfig())
 
-    def test_mixed_dimensions_rejected(self):
-        X = [sv([1.0, 0.0]), sv([0.0, 1.0]), sv([1.0])]
-        y = [Sentiment.NEGATIVE, Sentiment.NEUTRAL, Sentiment.POSITIVE]
-        with pytest.raises(DataError):
-            fit(X, y, TrainConfig())
+
+def random_sparse_rows(rng, n, dim, density=0.5):
+    return csr(rng.normal(size=(n, dim)) * (rng.random((n, dim)) < density))
 
 
 class TestPredict:
@@ -263,44 +252,51 @@ class TestPredict:
 
     def test_tie_breaks_to_lowest_ordinal(self):
         model = self.zero_model()
-        assert predict(model, sv([1.0, 0.0, 2.0, 0.0])) == Sentiment.NEGATIVE
+        assert predict_batch(model, csr([[1.0, 0.0, 2.0, 0.0]])) == [Sentiment.NEGATIVE]
+
+    @pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.SVM])
+    def test_zero_row_with_equal_biases_predicts_negative(self, kind):
+        weights = np.random.default_rng(4).normal(size=(3, 5))
+        model = LinearModel(kind=kind, weights=weights, bias=np.full(3, 0.25))
+        assert predict_batch(model, sparse.csr_matrix((3, 5))) == [Sentiment.NEGATIVE] * 3
 
     def test_dimension_mismatch_rejected(self):
         model = self.zero_model(dim=4)
         with pytest.raises(DataError):
-            predict_scores(model, sv([1.0]))
+            predict_scores(model, csr([[1.0]]))
+        with pytest.raises(DataError):
+            predict_batch(model, sparse.csr_matrix((2, 5)))
 
     def test_predictions_match_dense_score_oracle(self):
         rng = np.random.default_rng(9)
         weights = rng.normal(size=(3, 6))
         bias = rng.normal(size=3)
         model = LinearModel(kind=ModelKind.LR, weights=weights, bias=bias)
-        for _ in range(20):
-            dense = rng.normal(size=6) * (rng.random(6) > 0.4)
-            expected = oracles.linear_scores(weights.tolist(), bias.tolist(), dense.tolist())
-            got = predict_scores(model, sv(dense))
-            assert np.allclose(got, expected, atol=1e-12)
-            assert predict(model, sv(dense)) == Sentiment(int(np.argmax(expected)))
+        dense = rng.normal(size=(20, 6)) * (rng.random((20, 6)) > 0.4)
+        got = predict_scores(model, csr(dense))
+        predictions = predict_batch(model, csr(dense))
+        for row, x in enumerate(dense):
+            expected = oracles.linear_scores(weights.tolist(), bias.tolist(), x.tolist())
+            assert np.allclose(got[row], expected, atol=1e-12)
+            assert predictions[row] == Sentiment(int(np.argmax(expected)))
 
     def test_mnb_scores_match_dense_oracle(self):
         rng = np.random.default_rng(13)
         counts = rng.integers(0, 5, size=(9, 4)).astype(float)
         labels = [Sentiment(int(c)) for c in np.arange(9) % 3]
-        model = fit([sv(row) for row in counts], labels, TrainConfig(model_kind=ModelKind.MNB))
-        for _ in range(20):
-            dense = rng.integers(0, 4, size=4).astype(float)
-            expected = oracles.mnb_scores(model.log_prior.tolist(), model.log_likelihood.tolist(), dense.tolist())
-            assert np.allclose(predict_scores(model, sv(dense)), expected, atol=1e-12)
+        model = fit(csr(counts), labels, TrainConfig(model_kind=ModelKind.MNB))
+        dense = rng.integers(0, 4, size=(20, 4)).astype(float)
+        got = predict_scores(model, csr(dense))
+        for row, x in enumerate(dense):
+            expected = oracles.mnb_scores(model.log_prior.tolist(), model.log_likelihood.tolist(), x.tolist())
+            assert np.allclose(got[row], expected, atol=1e-12)
 
     def test_predict_is_argmax_of_scores(self):
         rng = np.random.default_rng(21)
-        weights = rng.normal(size=(3, 8))
-        bias = rng.normal(size=3)
-        model = LinearModel(kind=ModelKind.SVM, weights=weights, bias=bias)
-        for _ in range(1000):
-            dense = rng.normal(size=8) * (rng.random(8) > 0.5)
-            scores = predict_scores(model, sv(dense))
-            assert predict(model, sv(dense)) == Sentiment(int(np.argmax(scores)))
+        model = LinearModel(kind=ModelKind.SVM, weights=rng.normal(size=(3, 8)), bias=rng.normal(size=3))
+        X = random_sparse_rows(rng, 1000, 8)
+        scores = predict_scores(model, X)
+        assert predict_batch(model, X) == [Sentiment(int(c)) for c in np.argmax(scores, axis=1)]
 
     def test_logit_shift_invariance(self):
         rng = np.random.default_rng(23)
@@ -308,14 +304,27 @@ class TestPredict:
         bias = rng.normal(size=3)
         model = LinearModel(kind=ModelKind.LR, weights=weights, bias=bias)
         shifted = LinearModel(kind=ModelKind.LR, weights=weights, bias=bias + 7.5)
-        for _ in range(50):
-            x = sv(rng.normal(size=5))
-            assert predict(model, x) == predict(shifted, x)
+        X = csr(rng.normal(size=(50, 5)))
+        assert predict_batch(model, X) == predict_batch(shifted, X)
 
     def test_predict_batch_matches_per_item(self):
-        X, y = separable_points()
-        model = fit(X, y, TrainConfig(model_kind=ModelKind.MNB))
-        assert predict_batch(model, X) == [predict(model, x) for x in X]
+        # the frozen per-row scorer is the reference, for linear and MNB models
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            n, dim = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+            X = random_sparse_rows(rng, n, dim, density=float(rng.uniform(0.0, 1.0)))
+            if trial % 2:
+                counts = rng.integers(0, 4, size=(6, dim)).astype(float)
+                labels = [Sentiment(int(c)) for c in rng.permutation(np.arange(6) % 3)]
+                model = fit(csr(counts), labels, TrainConfig(model_kind=ModelKind.MNB))
+                weights, bias = model.log_likelihood, model.log_prior
+            else:
+                weights, bias = rng.normal(size=(3, dim)), rng.normal(size=3)
+                model = LinearModel(kind=ModelKind.SVM, weights=weights, bias=bias)
+            expected = [
+                Sentiment(oracles.frozen_predict(weights, bias, X[i].indices, X[i].data)) for i in range(n)
+            ]
+            assert predict_batch(model, X) == expected
 
 
 class TestPersistence:

@@ -1,7 +1,10 @@
-import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 import oracles
 from codemix.corpus import Dataset, LangTag, Sentiment, Token, Tweet
@@ -10,15 +13,14 @@ from codemix.vectorize import (
     Analyzer,
     AnalyzerKind,
     DocMode,
-    SparseVector,
+    count_terms,
     fit_tfidf,
-    fit_vocabulary,
+    fit_transform,
     format_tfidf,
     load_tfidf,
     parse_tfidf,
     prepare_documents,
     save_tfidf,
-    transform,
     transform_batch,
 )
 
@@ -67,12 +69,17 @@ class TestAnalyzer:
                 assert Analyzer(AnalyzerKind.CHAR, *rng).terms(text) == oracles.char_terms(text, *rng)
 
 
+def fit_vocabulary(docs, analyzer):
+    return count_terms(docs, analyzer)[0]
+
+
 class TestFitVocabulary:
     def test_two_docs(self):
-        vocab = fit_vocabulary(["a b", "b c"], WORD)
+        vocab, counts = count_terms(["a b", "b c"], WORD)
         assert vocab.term_index == {"a": 0, "b": 1, "c": 2}
         assert vocab.document_frequency == {"a": 1, "b": 2, "c": 1}
         assert vocab.n_documents == 2
+        assert counts.toarray().tolist() == [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
 
     def test_char_single_doc(self):
         vocab = fit_vocabulary(["ab"], CHAR2)
@@ -81,11 +88,12 @@ class TestFitVocabulary:
 
     def test_empty_docs_rejected(self):
         with pytest.raises(DataError):
-            fit_vocabulary([], WORD)
+            fit_tfidf([], DocMode.ALL_DOCUMENTS)
 
     def test_df_counted_once_per_document(self):
-        vocab = fit_vocabulary(["cat cat cat", "cat"], WORD)
+        vocab, counts = count_terms(["cat cat cat", "cat"], WORD)
         assert vocab.document_frequency["cat"] == 2
+        assert counts.toarray().tolist() == [[3.0], [1.0]]
 
     def test_df_matches_counting_oracle(self):
         vocab = fit_vocabulary(TOY_DOCS, WORD)
@@ -102,19 +110,17 @@ class TestFitVocabulary:
         b = fit_vocabulary(list(TOY_DOCS), WORD)
         assert a == b
 
+    def test_fixed_vocabulary_drops_unknown_terms(self):
+        vocab = fit_vocabulary(["a b"], WORD)
+        same, counts = count_terms(["b q b", "", "q"], WORD, vocab)
+        assert same is vocab
+        assert counts.shape == (3, 2)
+        assert counts.toarray().tolist() == [[0.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
 
-class TestSparseVector:
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError):
-            SparseVector(indices=(2, 1), weights=(0.5, 0.5), dim=3)
-
-    def test_rejects_zero_weights(self):
-        with pytest.raises(ValueError):
-            SparseVector(indices=(0,), weights=(0.0,), dim=1)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SparseVector(indices=(5,), weights=(1.0,), dim=3)
+    def test_documents_without_terms_give_an_empty_vocabulary(self):
+        model, matrix = fit_transform(["", " "], DocMode.ALL_DOCUMENTS, WORD, Analyzer(AnalyzerKind.CHAR, 3, 3))
+        assert model.dim == 0
+        assert matrix.shape == (2, 0)
 
 
 class TestPrepareDocuments:
@@ -156,57 +162,122 @@ class TestPrepareDocuments:
             prepare_documents(self.five_tweets(), DocMode.ALL_DOCUMENTS, ["only one"])
 
 
+def transform_one(model, text):
+    """(indices, weights) of a single text's row."""
+    row = transform_batch(model, [text])
+    assert row.shape == (1, model.dim)
+    return tuple(row.indices.tolist()), tuple(row.data.tolist())
+
+
 class TestTransform:
     def test_single_doc_single_term(self):
         # idf = ln(2/2) + 1 = 1, tf = 1, so the lone weight normalizes to 1.0
         model = fit_tfidf(["a"], DocMode.ALL_DOCUMENTS, WORD, CHAR2)
-        vector = transform(model, "a")
-        assert vector.indices == (0,)
-        assert vector.weights == (1.0,)
-        assert vector.dim == model.dim == 1
+        assert transform_one(model, "a") == ((0,), (1.0,))
+        assert model.dim == 1
 
     def test_oov_only_text_is_zero_vector(self):
         model = fit_tfidf(TOY_DOCS, DocMode.ALL_DOCUMENTS, WORD, CHAR2)
-        vector = transform(model, "zzzzq")
-        assert vector.indices == ()
-        assert vector.dim == model.dim
+        assert transform_one(model, "zzzzq") == ((), ())
 
     def test_matches_dense_oracle_on_toy_corpus(self):
         model = fit_tfidf(TOY_DOCS, DocMode.ALL_DOCUMENTS, WORD, Analyzer(AnalyzerKind.CHAR, 2, 5))
-        for query in TOY_DOCS + ["the cat", "unseen words"]:
+        queries = TOY_DOCS + ["the cat", "unseen words"]
+        matrix = transform_batch(model, queries)
+        for row, query in enumerate(queries):
             expected = oracles.dense_tfidf(TOY_DOCS, query, (1, 1), (2, 5))
-            actual = oracles.sparse_to_dense(transform(model, query))
+            actual = oracles.row_to_dense(matrix, row)
             assert len(expected) == len(actual)
             assert all(abs(e - a) < 1e-12 for e, a in zip(expected, actual))
 
     def test_norm_is_one_or_zero(self):
         model = fit_tfidf(TOY_DOCS, DocMode.ALL_DOCUMENTS)
-        for query in TOY_DOCS + ["cat", "", "qqq"]:
-            vector = transform(model, query)
-            norm = math.sqrt(sum(w * w for w in vector.weights))
+        matrix = transform_batch(model, TOY_DOCS + ["cat", "", "qqq"])
+        for norm in sparse.linalg.norm(matrix, axis=1):
             assert norm == 0.0 or abs(norm - 1.0) < 1e-9
 
     def test_word_and_char_blocks_are_disjoint(self):
         model = fit_tfidf(["ab cd"], DocMode.ALL_DOCUMENTS, WORD, CHAR2)
         n_word = len(model.word_vocab)
-        word_only = transform(model, "zz ab xq")  # word hit "ab"; char grams all OOV except "ab"
-        assert any(i < n_word for i in word_only.indices)
-        assert all(i < model.dim for i in word_only.indices)
+        indices, _ = transform_one(model, "zz ab xq")  # word hit "ab"; char grams all OOV except "ab"
+        assert any(i < n_word for i in indices)
+        assert all(i < model.dim for i in indices)
         char_index = model.char_vocab.term_index["ab"] + n_word
-        assert char_index in word_only.indices
-        assert word_only.indices[0] == model.word_vocab.term_index["ab"]
+        assert char_index in indices
+        assert indices[0] == model.word_vocab.term_index["ab"]
 
     def test_transform_batch_matches_per_item(self):
         model = fit_tfidf(TOY_DOCS, DocMode.ALL_DOCUMENTS)
         rng = random.Random(0)
         alphabet = ["the", "cat", "dog", "sat", "and", "down", "zap"]
         texts = [" ".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6))) for _ in range(100)]
-        assert transform_batch(model, texts) == [transform(model, t) for t in texts]
+        matrix = transform_batch(model, texts)
+        assert matrix.has_sorted_indices
+        rows = [transform_one(model, text) for text in texts]
+        assert [len(indices) for indices, _ in rows] == np.diff(matrix.indptr).tolist()
+        assert [i for indices, _ in rows for i in indices] == matrix.indices.tolist()
+        assert [w for _, weights in rows for w in weights] == matrix.data.tolist()
 
     def test_transform_batch_empty_and_singleton(self):
         model = fit_tfidf(["a"], DocMode.ALL_DOCUMENTS)
-        assert transform_batch(model, []) == []
-        assert transform_batch(model, ["a"]) == [transform(model, "a")]
+        assert transform_batch(model, []).shape == (0, model.dim)
+        assert transform_one(model, "a") == ((0,), (1.0,))
+
+    def test_fit_transform_equals_fit_then_transform(self):
+        model, matrix = fit_transform(TOY_DOCS, DocMode.ALL_DOCUMENTS)
+        assert model == fit_tfidf(TOY_DOCS, DocMode.ALL_DOCUMENTS)
+        again = transform_batch(model, TOY_DOCS)
+        assert np.array_equal(matrix.indptr, again.indptr)
+        assert np.array_equal(matrix.indices, again.indices)
+        assert np.array_equal(matrix.data, again.data)
+
+
+# Training texts draw from a smaller alphabet than queries, so queries carry
+# out-of-vocabulary terms; tabs, newlines, accents and emoji end up in terms.
+_TRAIN_TEXT = st.text(alphabet="ab é\tñ😀_,", max_size=14)
+_QUERY_TEXT = st.text(alphabet="abz é\tñ😀_,\nQ", max_size=14)
+_RANGE = st.integers(1, 8).flatmap(lambda low: st.tuples(st.just(low), st.integers(low, 8)))
+
+
+def assert_rows_match_frozen_path(model, matrix, texts):
+    assert matrix.shape == (len(texts), model.dim)
+    rows = [oracles.frozen_transform(model, text) for text in texts]
+    assert np.diff(matrix.indptr).tolist() == [len(indices) for indices, _ in rows]
+    assert matrix.indices.tolist() == [i for indices, _ in rows for i in indices]
+    # Same operations in the same order (math.log idf, Python's sum of squares
+    # over each row in index order), so the weights are equal, not merely
+    # within 1e-12.
+    assert matrix.data.tolist() == [w for _, weights in rows for w in weights]
+
+
+class TestMatchesFrozenPerVectorPath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        texts=st.lists(_TRAIN_TEXT, min_size=1, max_size=8),
+        queries=st.lists(_QUERY_TEXT, max_size=5),
+        word_range=_RANGE,
+        char_range=_RANGE,
+        per_class=st.booleans(),
+    )
+    def test_fit_transform_and_transform_batch(self, texts, queries, word_range, char_range, per_class):
+        word = Analyzer(AnalyzerKind.WORD, *word_range)
+        char = Analyzer(AnalyzerKind.CHAR, *char_range)
+        if per_class:
+            # negative, neutral, positive concatenations of tweets labeled i % 3
+            docs = [" ".join(texts[c::3]) for c in range(3)]
+            model = fit_tfidf(docs, DocMode.PER_CLASS_CONCATENATED, word, char)
+        else:
+            docs = texts
+            model, fitted = fit_transform(docs, DocMode.ALL_DOCUMENTS, word, char)
+            assert_rows_match_frozen_path(model, fitted, docs)
+        for extractor, analyzer, vocab in (
+            (oracles.word_terms, word, model.word_vocab),
+            (oracles.char_terms, char, model.char_vocab),
+        ):
+            df = oracles.document_frequencies(docs, extractor, analyzer.ngram_min, analyzer.ngram_max)
+            assert vocab.document_frequency == df
+            assert vocab.term_index == {term: index for index, term in enumerate(sorted(df))}
+        assert_rows_match_frozen_path(model, transform_batch(model, texts + queries), texts + queries)
 
 
 class TestPersistence:
@@ -223,7 +294,7 @@ class TestPersistence:
         restored = self.roundtrip(model)
         assert restored == model
         text = "tab\there too"
-        assert transform(restored, text) == transform(model, text)
+        assert transform_one(restored, text) == transform_one(model, text)
 
     def test_file_round_trip(self, tmp_path):
         model = fit_tfidf(TOY_DOCS, DocMode.ALL_DOCUMENTS)
