@@ -16,6 +16,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
+from scipy.sparse import csr_matrix
+
 from .corpus import (
     Dataset,
     LangTag,
@@ -272,14 +274,6 @@ def _preprocess_texts(config: RunConfig, dataset: Dataset, lexicon: EmojiLexicon
     return [run_pipeline(tweet.text, config.pipeline, lexicon) for tweet in dataset]
 
 
-def _write_manifest(path: str, config: RunConfig, facts: dict[str, object]) -> None:
-    lines = [MANIFEST_VERSION, f"config_sha256={config.config_sha256}"]
-    lines += [f"run.{key}={facts[key]}" for key in sorted(facts)]
-    lines += [f"config.{key}={config.resolved[key]}" for key in sorted(config.resolved)]
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
 def _read_manifest(model_dir: str) -> tuple[dict[str, str], Settings]:
     """The manifest's run facts and its non-empty config settings."""
     path = os.path.join(model_dir, MANIFEST_FILE)
@@ -314,23 +308,26 @@ def _artifact_facts(tfidf: TfIdfModel, classifier: Classifier) -> dict[str, obje
     }
 
 
-def _train_to_dir(config: RunConfig, dataset: Dataset, out_dir: str) -> TfIdfModel:
-    lexicon = _load_lexicon(config)
-    texts = _preprocess_texts(config, dataset, lexicon)
+def _featurize(config: RunConfig, dataset: Dataset, texts: list[str]) -> tuple[TfIdfModel, csr_matrix]:
+    """Fit the configured doc mode's vectorizer and return it with the TF-IDF rows of texts."""
     docs = prepare_documents(dataset, config.doc_mode, texts)
     if config.doc_mode is DocMode.ALL_DOCUMENTS:
-        tfidf, features = fit_transform(docs, config.doc_mode, config.word_analyzer, config.char_analyzer)
-    else:
-        tfidf = fit_tfidf(docs, config.doc_mode, config.word_analyzer, config.char_analyzer)
-        features = transform_batch(tfidf, texts)
-    labels = require_labels(dataset)
-    classifier = fit(features, labels, config.train)
+        return fit_transform(docs, config.doc_mode, config.word_analyzer, config.char_analyzer)
+    tfidf = fit_tfidf(docs, config.doc_mode, config.word_analyzer, config.char_analyzer)
+    return tfidf, transform_batch(tfidf, texts)
+
+
+def _write_artifacts(config: RunConfig, tfidf: TfIdfModel, model: Classifier, n_train: int, out_dir: str) -> None:
+    """Write the tfidf and model artifacts, then the manifest that describes them."""
     os.makedirs(out_dir, exist_ok=True)
     save_tfidf(tfidf, os.path.join(out_dir, TFIDF_FILE))
-    save_model(classifier, os.path.join(out_dir, MODEL_FILE))
-    facts = {**_artifact_facts(tfidf, classifier), "seed": config.train.seed, "n_train_tweets": len(dataset)}
-    _write_manifest(os.path.join(out_dir, MANIFEST_FILE), config, facts)
-    return tfidf
+    save_model(model, os.path.join(out_dir, MODEL_FILE))
+    facts = {**_artifact_facts(tfidf, model), "seed": config.train.seed, "n_train_tweets": n_train}
+    lines = [MANIFEST_VERSION, f"config_sha256={config.config_sha256}"]
+    lines += [f"run.{key}={facts[key]}" for key in sorted(facts)]
+    lines += [f"config.{key}={config.resolved[key]}" for key in sorted(config.resolved)]
+    with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _load_artifacts(model_dir: str) -> tuple[TfIdfModel, Classifier, RunConfig]:
@@ -358,25 +355,21 @@ def _predict_dataset(model_dir: str, dataset: Dataset) -> list:
     return predict_batch(classifier, features)
 
 
-def _evaluate_dir(model_dir: str, data_path: str) -> EvalReport:
-    _require_file(data_path, "evaluation data")
-    dataset = _load_block_dataset(data_path, Path(data_path).stem)
-    gold = require_labels(dataset)
-    predictions = _predict_dataset(model_dir, dataset)
-    return score(gold, predictions)
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _build_run_config(_collect_settings(args))
     dataset = _load_training_data(config)
-    _train_to_dir(config, dataset, config.out_dir)
+    tfidf, features = _featurize(config, dataset, _preprocess_texts(config, dataset, _load_lexicon(config)))
+    classifier = fit(features, require_labels(dataset), config.train)
+    _write_artifacts(config, tfidf, classifier, len(dataset), config.out_dir)
     print(f"trained {config.train.model_kind.value} model on {len(dataset)} tweets")
     print(f"artifacts written to {config.out_dir}")
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    report = _evaluate_dir(args.model_dir, args.data)
+    _require_file(args.data, "evaluation data")
+    dataset = _load_block_dataset(args.data, Path(args.data).stem)
+    report = score(require_labels(dataset), _predict_dataset(args.model_dir, dataset))
     print(render_report(report))
     print()
     for line in machine_lines(report):
@@ -405,39 +398,44 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
-_GRID_CELLS = [
-    ("lr", "per_class_concatenated"),
-    ("lr", "all_documents"),
-    ("mnb", "per_class_concatenated"),
-    ("mnb", "all_documents"),
-    ("svm", "per_class_concatenated"),
-    ("svm", "all_documents"),
-]
+# Every model kind x doc mode, in the order the table and the grid.* lines print them.
+_GRID_CELLS = [(kind, mode) for kind in ModelKind for mode in DocMode]
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     base = _collect_settings(args)
-    rows = []
-    results = []
+    configs: dict[tuple[ModelKind, DocMode], RunConfig] = {}
     for kind, mode in _GRID_CELLS:
-        settings = dict(base)
-        settings[("train", "model")] = kind
-        settings[("vectorize", "doc_mode")] = mode
-        config = _build_run_config(settings)
-        if not config.dev_path:
-            raise ConfigError("data.dev is required for grid")
-        _require_file(config.dev_path, "data.dev")
-        cell_dir = os.path.join(config.out_dir, "grid", f"{kind}_{mode}")
-        dataset = _load_training_data(config)
-        _train_to_dir(config, dataset, cell_dir)
-        report = _evaluate_dir(cell_dir, config.dev_path)
-        rows.append(GridRow(system=kind.upper(), doc_mode_label=DocMode(mode).display_label, report=report))
-        results.append((kind, mode, report.macro_f1))
+        overrides = {("train", "model"): kind.value, ("vectorize", "doc_mode"): mode.value}
+        configs[kind, mode] = _build_run_config({**base, **overrides})
+    config = configs[_GRID_CELLS[0]]  # the cells differ only in train.model and vectorize.doc_mode
+    if not config.dev_path:
+        raise ConfigError("data.dev is required for grid")
+    _require_file(config.dev_path, "data.dev")
+    dataset = _load_training_data(config)
+    dev = _load_block_dataset(config.dev_path, Path(config.dev_path).stem)
+    labels, gold = require_labels(dataset), require_labels(dev)
+    lexicon = _load_lexicon(config)
+    texts, dev_texts = (_preprocess_texts(config, data, lexicon) for data in (dataset, dev))
+    reports: dict[tuple[ModelKind, DocMode], EvalReport] = {}
+    for mode in DocMode:
+        tfidf, features = _featurize(configs[ModelKind.LR, mode], dataset, texts)
+        dev_features = None  # built after the first write: held through that write it raised peak RSS ~2%
+        for kind in ModelKind:
+            classifier = fit(features, labels, configs[kind, mode].train)
+            cell_dir = os.path.join(config.out_dir, "grid", f"{kind.value}_{mode.value}")
+            _write_artifacts(configs[kind, mode], tfidf, classifier, len(dataset), cell_dir)
+            if dev_features is None:
+                dev_features = transform_batch(tfidf, dev_texts)
+            reports[kind, mode] = score(gold, predict_batch(classifier, dev_features))
+            del classifier  # hold one classifier at a time
+        del tfidf, features, dev_features  # and one doc mode's matrices
+    rows = [GridRow(kind.value.upper(), mode.display_label, reports[kind, mode]) for kind, mode in _GRID_CELLS]
     print(comparison_grid(rows))
     print()
-    for kind, mode, macro_f1 in results:
-        print(f"grid.{kind}.{mode}={macro_f1:.6f}")
-    print(f"grid.best_macro_f1={max(f1 for _, _, f1 in results):.6f}")
+    for kind, mode in _GRID_CELLS:
+        print(f"grid.{kind.value}.{mode.value}={reports[kind, mode].macro_f1:.6f}")
+    print(f"grid.best_macro_f1={max(report.macro_f1 for report in reports.values()):.6f}")
     return 0
 
 

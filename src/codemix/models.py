@@ -212,7 +212,7 @@ def predict_batch(model: Classifier, X: sparse.csr_matrix) -> list[Sentiment]:
 
 
 def _format_row(values: np.ndarray) -> str:
-    return " ".join(f"{value:.17g}" for value in values)
+    return " ".join(map("{:.17g}".format, values.tolist()))
 
 
 def format_model(model: Classifier) -> str:

@@ -247,6 +247,8 @@ def _escape_term(term: str) -> str:
 
 
 def _unescape_term(escaped: str) -> str:
+    if "\\" not in escaped:  # almost every term: skip the per-character loop
+        return escaped
     out = []
     chars = iter(escaped)
     for ch in chars:

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+from collections import Counter
 
 import pytest
 
@@ -315,6 +317,61 @@ class TestGridCommand:
         code, _, err = run(["grid", "--config", tmp_path / "cfg.ini"], capsys)
         assert code == 2
         assert "data.dev" in err
+
+    @pytest.mark.parametrize("broken, exit_code", [("unlabeled", 3), ("missing", 2)])
+    def test_bad_dev_set_fails_before_any_training(self, workspace, capsys, broken, exit_code):
+        dev = synth.synthetic_dataset("dev", 30, seed=202, id_offset=10_000)
+        if broken == "unlabeled":
+            tweets = dev.tweets[:-1] + (dataclasses.replace(dev.tweets[-1], sentiment=None),)
+            write_corpus(workspace / "dev.txt", Dataset("dev", tweets))
+        else:
+            os.remove(workspace / "dev.txt")
+        code, _, err = run(["grid", "--config", workspace / "cfg.ini"], capsys)
+        assert code == exit_code, err
+        assert not (workspace / "out").exists()
+
+    EPOCHS = ["--train.epochs", "5"]
+
+    def grid_cells(self, workspace, capsys):
+        code, out, err = run(["grid", "--config", workspace / "cfg.ini", *self.EPOCHS], capsys)
+        assert code == 0, err
+        return dict(line.split("=") for line in out.splitlines() if line.startswith("grid.") and "best" not in line)
+
+    def test_cells_are_byte_identical_to_standalone_train(self, workspace, capsys):
+        cells = self.grid_cells(workspace, capsys)
+        assert len(cells) == 6
+        out_dir = workspace / "out"
+        for key in cells:
+            _, kind, mode = key.split(".")
+            args = ["train", "--config", workspace / "cfg.ini", *self.EPOCHS, "--train.model", kind]
+            code, _, err = run([*args, "--vectorize.doc_mode", mode], capsys)
+            assert code == 0, err
+            for name in ("tfidf.txt", "model.txt", "manifest.txt"):
+                assert (out_dir / name).read_bytes() == (out_dir / "grid" / f"{kind}_{mode}" / name).read_bytes()
+
+    def test_printed_f1_equals_eval_of_each_cell(self, workspace, capsys):
+        cells = self.grid_cells(workspace, capsys)
+        for key, printed in cells.items():
+            _, kind, mode = key.split(".")
+            cell_dir = workspace / "out" / "grid" / f"{kind}_{mode}"
+            code, out, err = run(["eval", "--model-dir", cell_dir, "--data", workspace / "dev.txt"], capsys)
+            assert code == 0, err
+            assert f"metric.macro_f1={printed}" in out.splitlines()
+
+    def test_preprocesses_once_and_fits_one_vectorizer_per_doc_mode(self, workspace, capsys, monkeypatch):
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        # fit_tfidf serves per_class_concatenated and fit_transform all_documents.
+        for name in ("run_pipeline", "fit_tfidf", "fit_transform"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        self.grid_cells(workspace, capsys)
+        assert calls == {"run_pipeline": 90 + 30, "fit_tfidf": 1, "fit_transform": 1}
 
 
 ADVERSARIAL_INPUTS = [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
@@ -12,6 +14,7 @@ from codemix.models import (
     MnbModel,
     ModelKind,
     TrainConfig,
+    _format_row,
     _gradient_descent,
     fit,
     format_model,
@@ -356,6 +359,13 @@ class TestPersistence:
     def test_header_format(self):
         model = self.fitted(ModelKind.LR)
         assert format_model(model).splitlines()[0] == "model v1 lr 3"
+
+    @given(st.lists(st.floats(), min_size=1, max_size=20))
+    @example([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
+    @example([1.0, -3.0, 2.0**53, 1e16, 0.1])
+    def test_row_text_equals_per_value_format(self, values):
+        row = np.asarray(values, dtype=np.float64)
+        assert _format_row(row) == " ".join(f"{value:.17g}" for value in row)
 
     @pytest.mark.parametrize(
         "text",

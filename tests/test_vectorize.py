@@ -317,6 +317,7 @@ class TestPersistence:
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\tNaN\t1\n",  # bad index
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t1\t1\n",  # sparse index range
             "tfidf v1 all_documents 1-1 2-5 3 3\nq\tterm\t0\t1\n",  # bad block
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\\\t0\t1\n",  # trailing lone backslash
         ],
     )
     def test_malformed_files_rejected(self, text):
