@@ -45,6 +45,7 @@ from .vectorize import (
     TfIdfModel,
     fit_tfidf,
     fit_transform,
+    format_tfidf,
     load_tfidf,
     prepare_documents,
     save_tfidf,
@@ -317,10 +318,12 @@ def _featurize(config: RunConfig, dataset: Dataset, texts: list[str]) -> tuple[T
     return tfidf, transform_batch(tfidf, texts)
 
 
-def _write_artifacts(config: RunConfig, tfidf: TfIdfModel, model: Classifier, n_train: int, out_dir: str) -> None:
-    """Write the tfidf and model artifacts, then the manifest that describes them."""
+def _write_artifacts(
+    config: RunConfig, tfidf: TfIdfModel, model: Classifier, n_train: int, out_dir: str, tfidf_text: str | None = None
+) -> None:
+    """Write the tfidf (tfidf_text if given) and model artifacts, then the manifest that describes them."""
     os.makedirs(out_dir, exist_ok=True)
-    save_tfidf(tfidf, os.path.join(out_dir, TFIDF_FILE))
+    save_tfidf(tfidf, os.path.join(out_dir, TFIDF_FILE), tfidf_text)
     save_model(model, os.path.join(out_dir, MODEL_FILE))
     facts = {**_artifact_facts(tfidf, model), "seed": config.train.seed, "n_train_tweets": n_train}
     lines = [MANIFEST_VERSION, f"config_sha256={config.config_sha256}"]
@@ -420,16 +423,17 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     reports: dict[tuple[ModelKind, DocMode], EvalReport] = {}
     for mode in DocMode:
         tfidf, features = _featurize(configs[ModelKind.LR, mode], dataset, texts)
+        tfidf_text = format_tfidf(tfidf)  # the mode's three cells share one tfidf.txt
         dev_features = None  # built after the first write: held through that write it raised peak RSS ~2%
         for kind in ModelKind:
             classifier = fit(features, labels, configs[kind, mode].train)
             cell_dir = os.path.join(config.out_dir, "grid", f"{kind.value}_{mode.value}")
-            _write_artifacts(configs[kind, mode], tfidf, classifier, len(dataset), cell_dir)
+            _write_artifacts(configs[kind, mode], tfidf, classifier, len(dataset), cell_dir, tfidf_text)
             if dev_features is None:
                 dev_features = transform_batch(tfidf, dev_texts)
             reports[kind, mode] = score(gold, predict_batch(classifier, dev_features))
             del classifier  # hold one classifier at a time
-        del tfidf, features, dev_features  # and one doc mode's matrices
+        del tfidf, tfidf_text, features, dev_features  # and one doc mode's matrices
     rows = [GridRow(kind.value.upper(), mode.display_label, reports[kind, mode]) for kind, mode in _GRID_CELLS]
     print(comparison_grid(rows))
     print()

@@ -99,25 +99,42 @@ class MnbModel:
 Classifier = LinearModel | MnbModel
 
 
+def _softmax_loss(scores: np.ndarray, y_idx: np.ndarray):
+    """Mean softmax cross-entropy of score rows and its gradient with respect to the scores."""
+    n = scores.shape[0]
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        nll = -np.log(probs[np.arange(n), y_idx])
+    probs[np.arange(n), y_idx] -= 1.0  # now the gradient with respect to the scores
+    probs /= n
+    return nll.mean(), probs
+
+
+def _hinge_loss(scores: np.ndarray, y_idx: np.ndarray):
+    """Per-class mean hinge loss of score rows, summed over classes, and a subgradient."""
+    n = scores.shape[0]
+    targets = np.full(scores.shape, -1.0)
+    targets[np.arange(n), y_idx] = 1.0
+    margins = 1.0 - targets * scores
+    active = margins > 0.0
+    return float(np.where(active, margins, 0.0).sum()) / n, np.where(active, -targets, 0.0) / n
+
+
+def _regularized(score_loss, W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float):
+    """score_loss of the scores X @ W.T + b plus (lambda/2)*||W||^2, with its gradients."""
+    loss, grad_scores = score_loss(np.asarray(X @ W.T) + b, y_idx)
+    loss += 0.5 * l2_lambda * float(np.sum(W * W))
+    grad_W = np.asarray((X.T @ grad_scores).T) + l2_lambda * W
+    return loss, grad_W, grad_scores.sum(axis=0)
+
+
 def softmax_cross_entropy(W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float):
     """Mean softmax cross-entropy plus (lambda/2)*||W||^2 and its gradients.
 
     Returns (loss, grad_W, grad_b).  X may be dense or CSR.
     """
-    n = X.shape[0]
-    logits = np.asarray(X @ W.T) + b
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        nll = -np.log(probs[np.arange(n), y_idx])
-    loss = nll.mean() + 0.5 * l2_lambda * float(np.sum(W * W))
-    grad_logits = probs
-    grad_logits[np.arange(n), y_idx] -= 1.0
-    grad_logits /= n
-    grad_W = np.asarray((X.T @ grad_logits).T) + l2_lambda * W
-    grad_b = grad_logits.sum(axis=0)
-    return loss, grad_W, grad_b
+    return _regularized(_softmax_loss, W, b, X, y_idx, l2_lambda)
 
 
 def ovr_hinge_objective(W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float):
@@ -127,35 +144,54 @@ def ovr_hinge_objective(W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_l
     per-class mean hinge loss summed over classes.  Returns (loss, grad_W,
     grad_b).
     """
-    n = X.shape[0]
-    scores = np.asarray(X @ W.T) + b
-    targets = np.full(scores.shape, -1.0)
-    targets[np.arange(n), y_idx] = 1.0
-    margins = 1.0 - targets * scores
-    active = margins > 0.0
-    loss = float(np.where(active, margins, 0.0).sum()) / n + 0.5 * l2_lambda * float(np.sum(W * W))
-    grad_scores = np.where(active, -targets, 0.0) / n
-    grad_W = np.asarray((X.T @ grad_scores).T) + l2_lambda * W
-    grad_b = grad_scores.sum(axis=0)
-    return loss, grad_W, grad_b
+    return _regularized(_hinge_loss, W, b, X, y_idx, l2_lambda)
 
 
-def _gradient_descent(X, y_idx: np.ndarray, n_classes: int, cfg: TrainConfig, objective):
+_SCORE_LOSS = {softmax_cross_entropy: _softmax_loss, ovr_hinge_objective: _hinge_loss}
+
+
+def _gradient_descent(X: sparse.csr_matrix, y_idx: np.ndarray, n_classes: int, cfg: TrainConfig, objective):
+    """Mini-batch gradient descent on objective, each step in O(nnz of its batch), not O(dim).
+
+    W = s * V (the scaling trick of Pegasos and of Bottou's "Stochastic Gradient Descent
+    Tricks"): a step's L2 decay scales s and its data gradient changes only the batch's
+    columns of V.  ||V||^2 is kept up to date for the L2 term of the loss check."""
+    score_loss = _SCORE_LOSS[objective]
     rng = np.random.default_rng(cfg.seed)
-    n = X.shape[0]
-    W = np.zeros((n_classes, X.shape[1]))
+    n, dim = X.shape
+    V = np.zeros((n_classes, dim))
     b = np.zeros(n_classes)
+    s, sq_norm = 1.0, 0.0  # W = s * V and sq_norm = ||V||^2
+    slot = np.zeros(dim, dtype=np.intp)  # a column's place among its batch's distinct columns
     lr = cfg.resolved_learning_rate
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
-            loss, grad_W, grad_b = objective(W, b, X[rows], y_idx[rows], cfg.l2_lambda)
-            if not math.isfinite(loss):
+            batch = X[rows]
+            # Distinct columns without a sort: each keeps the occurrence whose write to slot survived.
+            indices = batch.indices.astype(np.intp)
+            occurrence = np.arange(indices.size)
+            slot[indices] = occurrence
+            columns = indices.compress(slot.take(indices) == occurrence)
+            slot[columns] = np.arange(columns.size)
+            local = sparse.csr_matrix((batch.data, slot.take(indices), batch.indptr), shape=(len(rows), columns.size))
+            block = V.take(columns, axis=1)
+            loss, grad_scores = score_loss(s * np.asarray(local @ block.T) + b, y_idx[rows])
+            if not math.isfinite(loss + 0.5 * cfg.l2_lambda * s * s * sq_norm):
                 raise NumericError(f"training loss became non-finite at epoch {epoch}")
-            W -= lr * grad_W
-            b -= lr * grad_b
-    return W, b
+            s *= 1.0 - lr * cfg.l2_lambda
+            if s < 1e-9:  # the decay wiped out or flipped W: fold s into V rather than divide by it
+                V *= s
+                block *= s
+                s, sq_norm = 1.0, float(np.sum(V * V))
+            updated = block - (lr / s) * np.asarray(local.T @ grad_scores).T
+            sq_norm += float(np.sum(updated * updated)) - float(np.sum(block * block))
+            # One flat scatter: assigning to V[:, columns] took 2.5 times as long.
+            V.ravel()[(columns + dim * np.arange(n_classes)[:, None]).ravel()] = updated.ravel()
+            b -= lr * grad_scores.sum(axis=0)
+    V *= s
+    return V, b
 
 
 def mnb_parameters(X, y_idx: np.ndarray, n_classes: int, alpha: float):
@@ -212,20 +248,23 @@ def predict_batch(model: Classifier, X: sparse.csr_matrix) -> list[Sentiment]:
 
 
 def _format_row(values: np.ndarray) -> str:
-    return " ".join(map("{:.17g}".format, values.tolist()))
+    return " ".join(["%.17g"] * len(values)) % tuple(values.tolist())
+
+
+def _model_lines(model: Classifier):
+    """The lines of the versioned text serialization: a header, then one line of parameters per class."""
+    if isinstance(model, MnbModel):
+        yield f"{FORMAT_VERSION} mnb {model.dim} {model.alpha:.17g}"
+        rows = (np.concatenate(([model.log_prior[c]], model.log_likelihood[c])) for c in range(N_CLASSES))
+    else:
+        yield f"{FORMAT_VERSION} {model.kind.value} {model.dim}"
+        rows = (np.concatenate((model.weights[c], [model.bias[c]])) for c in range(N_CLASSES))
+    yield from map(_format_row, rows)
 
 
 def format_model(model: Classifier) -> str:
     """Versioned text serialization, one line of parameters per class."""
-    if isinstance(model, MnbModel):
-        lines = [f"{FORMAT_VERSION} mnb {model.dim} {model.alpha:.17g}"]
-        for c in range(N_CLASSES):
-            lines.append(_format_row(np.concatenate(([model.log_prior[c]], model.log_likelihood[c]))))
-    else:
-        lines = [f"{FORMAT_VERSION} {model.kind.value} {model.dim}"]
-        for c in range(N_CLASSES):
-            lines.append(_format_row(np.concatenate((model.weights[c], [model.bias[c]]))))
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in _model_lines(model))
 
 
 def parse_model(text: str) -> Classifier:
@@ -266,7 +305,9 @@ def parse_model(text: str) -> Classifier:
 
 def save_model(model: Classifier, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_model(model))
+        for line in _model_lines(model):
+            handle.write(line)
+            handle.write("\n")
 
 
 def load_model(path: str) -> Classifier:

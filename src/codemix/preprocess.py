@@ -12,6 +12,7 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from importlib import resources
+from itertools import groupby
 
 from .errors import ConfigError
 
@@ -33,24 +34,18 @@ class EmojiLexicon:
             if not value:
                 raise ConfigError(f"emoji lexicon entry {key!r} has an empty name")
         self._entries = dict(entries)
-        # Bucket keys by first character, longest first, so matching at a
-        # position only scans candidates that can actually start there.
-        self._by_first: dict[str, list[str]] = {}
-        for key in sorted(self._entries, key=len, reverse=True):
-            self._by_first.setdefault(key[0], []).append(key)
+        # Longest keys first: the first alternative that matches at a position is the longest key
+        # there (equal-length keys cannot both match).  The lookahead, a bitmap for ASCII plus one
+        # range, cheaply skips the positions no key can start at.
+        keys = sorted(self._entries, key=len, reverse=True)
+        starts = "".join(re.escape(key[0]) for key in keys if key[0].isascii())
+        self.pattern = re.compile(rf"(?=[{starts}\x80-\U0010FFFF])(?:{'|'.join(map(re.escape, keys))})")
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def name_of(self, key: str) -> str:
         return self._entries[key]
-
-    def match_at(self, text: str, pos: int) -> str | None:
-        """Longest lexicon key matching at text[pos], or None."""
-        for key in self._by_first.get(text[pos], ()):
-            if text.startswith(key, pos):
-                return key
-        return None
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], origin: str = "<lexicon>") -> "EmojiLexicon":
@@ -111,17 +106,7 @@ class PipelineConfig:
 
 def replace_emoji(text: str, lexicon: EmojiLexicon) -> str:
     """Replace every lexicon match with its textual name, longest match first."""
-    out = []
-    pos = 0
-    while pos < len(text):
-        key = lexicon.match_at(text, pos)
-        if key is None:
-            out.append(text[pos])
-            pos += 1
-        else:
-            out.append(f" {lexicon.name_of(key)} ")
-            pos += len(key)
-    return _squash("".join(out))
+    return _squash(lexicon.pattern.sub(lambda match: f" {lexicon.name_of(match.group())} ", text))
 
 
 def remove_mentions(text: str) -> str:
@@ -131,7 +116,7 @@ def remove_mentions(text: str) -> str:
 
 def remove_non_ascii(text: str) -> str:
     """Delete every codepoint above 0x7F."""
-    return _squash("".join(ch for ch in text if ord(ch) <= 0x7F))
+    return _squash(text.encode("ascii", "ignore").decode("ascii"))
 
 
 # URL-shaped tokens: explicit scheme, www. prefix, or bare domain ending in
@@ -159,17 +144,14 @@ def collapse_elongation(text: str, min_run: int = 3) -> str:
     """
     if min_run < 2:
         raise ConfigError("min_run must be >= 2")
-    out = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        end = pos + 1
-        if ch.isalpha():
-            while end < len(text) and text[end].lower() == ch.lower():
-                end += 1
-        out.append(ch if end - pos >= min_run else text[pos:end])
-        pos = end
-    return _squash("".join(out))
+
+    def collapse(match: re.Match) -> str:
+        # The regex's case folding is coarser than str.lower() ("İ" matches "i"),
+        # so split its run into runs of equal str.lower() before collapsing.
+        runs = ("".join(run) for _, run in groupby(match.group(), str.lower))
+        return "".join(run[0] if len(run) >= min_run and run[0].isalpha() else run for run in runs)
+
+    return _squash(re.sub(rf"([^\W\d_])\1{{{min_run - 1},}}", collapse, text, flags=re.IGNORECASE))
 
 
 _HASHTAG_BOUNDARY = re.compile(

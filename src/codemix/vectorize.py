@@ -87,7 +87,8 @@ DEFAULT_CHAR_ANALYZER = Analyzer(AnalyzerKind.CHAR, 2, 5)
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Term -> dense feature index plus document frequencies."""
+    """Term -> dense feature index plus document frequencies, both keyed by
+    the same terms in the same order."""
 
     term_index: dict[str, int]
     document_frequency: dict[str, int]
@@ -98,11 +99,12 @@ class Vocabulary:
 
     @cached_property
     def idf(self) -> np.ndarray:
-        """Smoothed idf by feature index, via math.log so that weights do not
-        depend on the numpy build."""
+        """Smoothed idf by feature index, via math.log (so weights do not depend on the
+        numpy build) once per distinct df; np.unique's temporaries raised peak RSS."""
+        by_df = {df: math.log((1 + self.n_documents) / (1 + df)) + 1.0 for df in set(self.document_frequency.values())}
         idf = np.empty(len(self))
-        for term, index in self.term_index.items():
-            idf[index] = math.log((1 + self.n_documents) / (1 + self.document_frequency[term])) + 1.0
+        indices = np.fromiter(self.term_index.values(), np.int64, len(self))
+        idf[indices] = np.fromiter(map(by_df.__getitem__, self.document_frequency.values()), np.float64, len(self))
         return idf
 
 
@@ -343,9 +345,10 @@ def parse_tfidf(text: str) -> TfIdfModel:
     )
 
 
-def save_tfidf(model: TfIdfModel, path: str) -> None:
+def save_tfidf(model: TfIdfModel, path: str, text: str | None = None) -> None:
+    """Write format_tfidf(model) to path; text, when given, is that text already formatted."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_tfidf(model))
+        handle.write(format_tfidf(model) if text is None else text)
 
 
 def load_tfidf(path: str) -> TfIdfModel:

@@ -3,8 +3,12 @@
 Everything here is deliberately written with plain loops and math.* so it
 shares no code with the library: dense TF-IDF, per-class F1 counting, MNB
 closed-form estimates, finite-difference gradients and dense score
-evaluation.  The ``frozen_*`` functions keep the original per-vector
-TF-IDF transform and per-row scorer, which the matrix code must reproduce.
+evaluation.  The ``frozen_*`` functions keep earlier implementations that
+the library must reproduce: the per-vector TF-IDF transform, idf and
+per-row scorer, the dense gradient-descent step with its two objectives,
+and the per-character normalizer rules with the pipeline around them (which
+calls the library's three rules that kept their code: mentions, URLs and
+hashtags).
 """
 
 import math
@@ -13,6 +17,8 @@ from collections import Counter
 import numpy as np
 
 from codemix.corpus import Sentiment
+from codemix.errors import ConfigError, NumericError
+from codemix.preprocess import remove_mentions, replace_urls, segment_hashtags
 
 
 def word_tokens(text):
@@ -171,3 +177,130 @@ def mnb_scores(log_prior, log_likelihood, dense_x):
         log_prior[c] + sum(log_likelihood[c][i] * dense_x[i] for i in range(len(dense_x)))
         for c in range(len(log_prior))
     ]
+
+
+def frozen_softmax_cross_entropy(W, b, X, y_idx, l2_lambda):
+    n = X.shape[0]
+    logits = np.asarray(X @ W.T) + b
+    logits -= logits.max(axis=1, keepdims=True)
+    exp = np.exp(logits)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        nll = -np.log(probs[np.arange(n), y_idx])
+    loss = nll.mean() + 0.5 * l2_lambda * float(np.sum(W * W))
+    grad_logits = probs
+    grad_logits[np.arange(n), y_idx] -= 1.0
+    grad_logits /= n
+    grad_W = np.asarray((X.T @ grad_logits).T) + l2_lambda * W
+    grad_b = grad_logits.sum(axis=0)
+    return loss, grad_W, grad_b
+
+
+def frozen_ovr_hinge_objective(W, b, X, y_idx, l2_lambda):
+    n = X.shape[0]
+    scores = np.asarray(X @ W.T) + b
+    targets = np.full(scores.shape, -1.0)
+    targets[np.arange(n), y_idx] = 1.0
+    margins = 1.0 - targets * scores
+    active = margins > 0.0
+    loss = float(np.where(active, margins, 0.0).sum()) / n + 0.5 * l2_lambda * float(np.sum(W * W))
+    grad_scores = np.where(active, -targets, 0.0) / n
+    grad_W = np.asarray((X.T @ grad_scores).T) + l2_lambda * W
+    grad_b = grad_scores.sum(axis=0)
+    return loss, grad_W, grad_b
+
+
+def frozen_gradient_descent(X, y_idx, n_classes, cfg, objective):
+    """The dense step: every mini-batch reads and writes all n_classes x dim weights."""
+    rng = np.random.default_rng(cfg.seed)
+    n = X.shape[0]
+    W = np.zeros((n_classes, X.shape[1]))
+    b = np.zeros(n_classes)
+    lr = cfg.resolved_learning_rate
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            loss, grad_W, grad_b = objective(W, b, X[rows], y_idx[rows], cfg.l2_lambda)
+            if not math.isfinite(loss):
+                raise NumericError(f"training loss became non-finite at epoch {epoch}")
+            W -= lr * grad_W
+            b -= lr * grad_b
+    return W, b
+
+
+def _squash(text):
+    return " ".join(text.split())
+
+
+def frozen_replace_emoji(text, entries):
+    """Longest-match emoji replacement by a per-character scan; entries maps key -> name."""
+    by_first = {}
+    for key in sorted(entries, key=len, reverse=True):
+        by_first.setdefault(key[0], []).append(key)
+
+    def match_at(text, pos):
+        for key in by_first.get(text[pos], ()):
+            if text.startswith(key, pos):
+                return key
+        return None
+
+    out = []
+    pos = 0
+    while pos < len(text):
+        key = match_at(text, pos)
+        if key is None:
+            out.append(text[pos])
+            pos += 1
+        else:
+            out.append(f" {entries[key]} ")
+            pos += len(key)
+    return _squash("".join(out))
+
+
+def frozen_remove_non_ascii(text):
+    return _squash("".join(ch for ch in text if ord(ch) <= 0x7F))
+
+
+def frozen_collapse_elongation(text, min_run=3):
+    if min_run < 2:
+        raise ConfigError("min_run must be >= 2")
+    out = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        end = pos + 1
+        if ch.isalpha():
+            while end < len(text) and text[end].lower() == ch.lower():
+                end += 1
+        out.append(ch if end - pos >= min_run else text[pos:end])
+        pos = end
+    return _squash("".join(out))
+
+
+def frozen_run_pipeline(text, config, entries):
+    """The fixed-point pipeline over the frozen rules and the library's unchanged ones."""
+
+    def one_pass(text):
+        if config.replace_emoji:
+            text = frozen_replace_emoji(text, entries)
+        if config.remove_mentions:
+            text = remove_mentions(text)
+        if config.replace_urls:
+            text = replace_urls(text)
+        if config.collapse_elongation:
+            text = frozen_collapse_elongation(text, config.elongation_min_run)
+        if config.segment_hashtags:
+            text = segment_hashtags(text)
+        if config.remove_non_ascii:
+            text = frozen_remove_non_ascii(text)
+        return _squash(text)
+
+    previous = None
+    current = _squash(text)
+    for _ in range(max(8, len(current))):
+        if current == previous:
+            break
+        previous = current
+        current = one_pass(current)
+    return current

@@ -9,7 +9,7 @@ from codemix import cli, models
 from codemix.corpus import Dataset, LangTag, Sentiment, Token, Tweet, format_conll, parse_conll
 from codemix.evaluation import score
 from codemix.models import LinearModel, ModelKind
-from codemix.vectorize import load_tfidf
+from codemix.vectorize import DocMode, load_tfidf
 
 import numpy as np
 
@@ -372,6 +372,18 @@ class TestGridCommand:
             monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
         self.grid_cells(workspace, capsys)
         assert calls == {"run_pipeline": 90 + 30, "fit_tfidf": 1, "fit_transform": 1}
+
+    def test_formats_each_doc_modes_tfidf_once(self, workspace, capsys, monkeypatch):
+        formatted = []
+
+        def counting(model):
+            formatted.append(model.mode)
+            return original(model)
+
+        original = cli.format_tfidf
+        monkeypatch.setattr(cli, "format_tfidf", counting)
+        self.grid_cells(workspace, capsys)
+        assert formatted == list(DocMode)
 
 
 ADVERSARIAL_INPUTS = [

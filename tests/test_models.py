@@ -228,6 +228,79 @@ class TestSvm:
         assert np.linalg.norm(grad_b - fd_b) / np.linalg.norm(fd_b) < 1e-4
 
 
+@st.composite
+def sparse_problems(draw):
+    """A random sparse training problem: (X, y), often with empty rows."""
+    n = draw(st.integers(1, 20))
+    dim = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    density = draw(st.sampled_from([0.0, 0.05, 0.2, 0.6, 1.0]))
+    rng = np.random.default_rng(seed)
+    X = csr(rng.uniform(-1.0, 1.0, size=(n, dim)) * (rng.random((n, dim)) < density))
+    return X, rng.integers(0, 3, size=n)
+
+
+class TestSparseStepMatchesDenseOracle:
+    """_gradient_descent keeps W = s * V and updates only the batch's columns; the
+    frozen dense step in oracles.py is the reference."""
+
+    @given(
+        problem=sparse_problems(),
+        kind=st.sampled_from([ModelKind.LR, ModelKind.SVM]),
+        # lr * lambda = 1 wipes W out at each step and 2 flips its sign: s hits 0 or goes negative.
+        rates=st.sampled_from([(0.5, 0.0), (0.05, 1e-4), (0.5, 0.1), (0.5, 2.0), (1.0, 1.0), (1.0, 2.0), (0.1, 3.0)]),
+        epochs=st.integers(1, 3),
+        batch_size=st.integers(1, 25),
+        seed=st.integers(0, 1000),
+    )
+    @example(
+        problem=(csr([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), np.array([0, 1, 2])),
+        kind=ModelKind.SVM, rates=(1.0, 1.0), epochs=2, batch_size=1, seed=0,
+    )
+    @example(
+        problem=(csr([[0.0, 0.5], [1.0, 0.0], [0.0, 0.0]]), np.array([2, 1, 0])),
+        kind=ModelKind.LR, rates=(1.0, 2.0), epochs=3, batch_size=10, seed=1,
+    )
+    def test_weights_match_dense_step(self, problem, kind, rates, epochs, batch_size, seed):
+        X, y = problem
+        lr, lam = rates
+        cfg = TrainConfig(
+            model_kind=kind, l2_lambda=lam, learning_rate=lr, epochs=epochs, batch_size=batch_size, seed=seed
+        )
+        if kind is ModelKind.LR:
+            objective, frozen = softmax_cross_entropy, oracles.frozen_softmax_cross_entropy
+        else:
+            objective, frozen = ovr_hinge_objective, oracles.frozen_ovr_hinge_objective
+        W, b = _gradient_descent(X, y, 3, cfg, objective)
+        W_ref, b_ref = oracles.frozen_gradient_descent(X, y, 3, cfg, frozen)
+        assert W.shape == W_ref.shape
+        assert np.abs(W - W_ref).max() <= 1e-12
+        assert np.abs(b - b_ref).max() <= 1e-12
+
+    def test_loss_check_keeps_the_l2_term(self):
+        # After one step ||W||^2 overflows while every hinge margin stays finite.
+        X, y = separable_points()
+        y_idx = np.array([int(label) for label in y])
+        cfg = TrainConfig(model_kind=ModelKind.SVM, l2_lambda=1e-300, learning_rate=1e200, epochs=1, batch_size=1)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
+            oracles.frozen_gradient_descent(X, y_idx, 3, cfg, oracles.frozen_ovr_hinge_objective)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
+            _gradient_descent(X, y_idx, 3, cfg, ovr_hinge_objective)
+
+    @pytest.mark.parametrize("objective", [softmax_cross_entropy, ovr_hinge_objective])
+    def test_objectives_match_frozen(self, objective):
+        frozen = {
+            softmax_cross_entropy: oracles.frozen_softmax_cross_entropy,
+            ovr_hinge_objective: oracles.frozen_ovr_hinge_objective,
+        }[objective]
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            X, y = random_problem(rng)
+            W, b, lam = rng.normal(size=(3, 10)), rng.normal(size=3), float(rng.uniform(0, 0.1))
+            for got, expected in zip(objective(W, b, csr(X), y, lam), frozen(W, b, csr(X), y, lam)):
+                assert np.array_equal(got, expected)
+
+
 class TestFitValidation:
     def test_missing_class_rejected(self):
         X = csr([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -366,6 +439,13 @@ class TestPersistence:
     def test_row_text_equals_per_value_format(self, values):
         row = np.asarray(values, dtype=np.float64)
         assert _format_row(row) == " ".join(f"{value:.17g}" for value in row)
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_saved_file_equals_format_model(self, kind, tmp_path):
+        model = self.fitted(kind)
+        path = tmp_path / "model.txt"
+        save_model(model, str(path))
+        assert path.read_bytes() == format_model(model).encode("utf-8")
 
     @pytest.mark.parametrize(
         "text",

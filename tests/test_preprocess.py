@@ -1,7 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import oracles
 from codemix.errors import ConfigError
+from synth import synthetic_dataset
 from codemix.preprocess import (
     EmojiLexicon,
     PipelineConfig,
@@ -236,6 +238,75 @@ class TestProperties:
     def test_output_whitespace_is_normalized(self, lexicon, text):
         cleaned = run_pipeline(text, PipelineConfig(), lexicon)
         assert cleaned == " ".join(cleaned.split())
+
+
+# Characters whose case mappings trip a naive case-insensitive regex: "İ".lower()
+# is two code points, Kelvin "K" lowers to "k", "ǅ" is titlecase, "²" and "ⅰ"
+# are word characters but not letters, "ß"/"ẞ", "ſ" and the sigmas fold unevenly.
+TRICKY = list("İiIKkǅǆǄ²³ⅰⅠßẞſsSΣσςaA1_ ")
+EMOJI_KEYS = [":)", ":-)", ":))", ":(", "<3", ", <3", "o_O", "❤", "❤️", "😀", "👍🏽"]
+mixed_texts = st.lists(
+    st.one_of(
+        st.sampled_from(TRICKY + EMOJI_KEYS + list(":-(<3,_o#@.ñé ")),
+        st.characters(codec="utf-8", categories=("L", "N", "P", "S", "Z")),
+    ),
+    max_size=30,
+).map("".join)
+lexicons = st.dictionaries(
+    keys=st.text(alphabet=st.sampled_from(TRICKY + list(":-(<3,o❤😀é ")), min_size=1, max_size=4),
+    values=st.text(alphabet=st.sampled_from(list("abz _")), min_size=1, max_size=6),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestMatchesFrozenRules:
+    """The compiled rules against the per-character loops frozen in oracles.py."""
+
+    @given(text=mixed_texts)
+    def test_replace_emoji_default_lexicon(self, lexicon, text):
+        assert replace_emoji(text, lexicon) == oracles.frozen_replace_emoji(text, lexicon._entries)
+
+    @given(text=mixed_texts, entries=lexicons)
+    @example(text="aab ab b", entries={"a": "x", "ab": "y", "b ": "z"})
+    @example(text="İi ii", entries={"i": "dot", "İ": "cap"})
+    def test_replace_emoji_random_lexicon(self, text, entries):
+        assert replace_emoji(text, EmojiLexicon(entries)) == oracles.frozen_replace_emoji(text, entries)
+
+    @given(text=mixed_texts, min_run=st.integers(2, 5))
+    @example(text="İii", min_run=3)
+    @example(text="İii", min_run=2)
+    @example(text="KKk", min_run=3)
+    @example(text="ǅǆǅ", min_run=3)
+    @example(text="²²²", min_run=3)
+    @example(text="ⅰⅰⅰ", min_run=3)
+    @example(text="xİIiii", min_run=2)
+    def test_collapse_elongation(self, text, min_run):
+        assert collapse_elongation(text, min_run) == oracles.frozen_collapse_elongation(text, min_run)
+
+    @pytest.mark.parametrize("text", ["İii", "KKk", "ǅǆǅ", "²²²", "ⅰⅰⅰ"])
+    def test_explicit_case_folding_cases(self, text):
+        for min_run in range(2, 6):
+            assert collapse_elongation(text, min_run) == oracles.frozen_collapse_elongation(text, min_run)
+
+    @given(text=st.text(max_size=40))
+    def test_remove_non_ascii(self, text):
+        assert remove_non_ascii(text) == oracles.frozen_remove_non_ascii(text)
+
+    @given(
+        text=mixed_texts,
+        rules=st.lists(st.booleans(), min_size=6, max_size=6),
+        min_run=st.integers(2, 5),
+    )
+    def test_run_pipeline(self, lexicon, text, rules, min_run):
+        config = PipelineConfig(*rules, elongation_min_run=min_run)
+        assert run_pipeline(text, config, lexicon) == oracles.frozen_run_pipeline(text, config, lexicon._entries)
+
+    def test_run_pipeline_on_synthetic_corpus(self, lexicon):
+        config = PipelineConfig()
+        for tweet in synthetic_dataset("train", 300, seed=5):
+            text = f"@user {tweet.text} #SoGood 😀😀 niiiice www.x.com"
+            assert run_pipeline(text, config, lexicon) == oracles.frozen_run_pipeline(text, config, lexicon._entries)
 
 
 class TestEmojiLexicon:

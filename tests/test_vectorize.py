@@ -13,6 +13,7 @@ from codemix.vectorize import (
     Analyzer,
     AnalyzerKind,
     DocMode,
+    Vocabulary,
     count_terms,
     fit_tfidf,
     fit_transform,
@@ -278,6 +279,43 @@ class TestMatchesFrozenPerVectorPath:
             assert vocab.document_frequency == df
             assert vocab.term_index == {term: index for index, term in enumerate(sorted(df))}
         assert_rows_match_frozen_path(model, transform_batch(model, texts + queries), texts + queries)
+
+
+def frozen_idf_array(vocab):
+    idf = np.empty(len(vocab))
+    for term, index in vocab.term_index.items():
+        idf[index] = oracles.frozen_idf(vocab, term)
+    return idf
+
+
+class TestIdf:
+    """Vocabulary.idf takes one math.log per distinct document frequency; the
+    per-term log in oracles.py is the reference, bit for bit."""
+
+    @given(
+        dfs=st.lists(st.integers(1, 40), max_size=80),
+        extra_documents=st.integers(0, 10**6),
+        seed=st.integers(0, 1000),
+    )
+    def test_equals_per_term_log_on_random_vocabularies(self, dfs, extra_documents, seed):
+        terms = [f"t{i}" for i in range(len(dfs))]
+        indices = random.Random(seed).sample(range(len(dfs)), len(dfs))  # features in any order
+        vocab = Vocabulary(
+            term_index=dict(zip(terms, indices)),
+            document_frequency=dict(zip(terms, dfs)),
+            n_documents=max(dfs, default=1) + extra_documents,
+        )
+        assert np.array_equal(vocab.idf, frozen_idf_array(vocab))
+
+    def test_fitted_and_parsed_vocabularies(self):
+        docs = [f"{a} {b} hola amigo" for a in ("que", "the", "la") for b in ("tal", "cat", "ok", "dog")]
+        model = fit_tfidf(docs, DocMode.ALL_DOCUMENTS, WORD, Analyzer(AnalyzerKind.CHAR, 1, 4))
+        header, *lines = format_tfidf(model).splitlines()
+        random.Random(3).shuffle(lines)  # term lines out of index order
+        restored = parse_tfidf("\n".join([header, *lines]) + "\n")
+        for vocab, parsed in ((model.word_vocab, restored.word_vocab), (model.char_vocab, restored.char_vocab)):
+            assert np.array_equal(vocab.idf, frozen_idf_array(vocab))
+            assert np.array_equal(parsed.idf, vocab.idf)
 
 
 class TestPersistence:
