@@ -22,9 +22,7 @@ from .corpus import (
 from .errors import CodemixError, ConfigError, DataError, NumericError, ParseError
 from .evaluation import ConfusionMatrix, EvalReport, GridRow, comparison_grid, score
 from .models import (
-    Classifier,
     LinearModel,
-    MnbModel,
     ModelKind,
     TrainConfig,
     fit,
@@ -50,7 +48,6 @@ __all__ = [
     "Analyzer",
     "AnalyzerKind",
     "ClassDistribution",
-    "Classifier",
     "CodemixError",
     "ConfigError",
     "ConfusionMatrix",
@@ -62,7 +59,6 @@ __all__ = [
     "GridRow",
     "LangTag",
     "LinearModel",
-    "MnbModel",
     "ModelKind",
     "NumericError",
     "ParseError",

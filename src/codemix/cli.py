@@ -29,7 +29,7 @@ from .corpus import (
 from .errors import ConfigError, DataError, NumericError
 from .evaluation import EvalReport, GridRow, comparison_grid, machine_lines, render_report, score
 from .models import (
-    Classifier,
+    LinearModel,
     ModelKind,
     TrainConfig,
     fit,
@@ -275,30 +275,37 @@ def _preprocess_texts(config: RunConfig, dataset: Dataset, lexicon: EmojiLexicon
     return [run_pipeline(tweet.text, config.pipeline, lexicon) for tweet in dataset]
 
 
-def _read_manifest(model_dir: str) -> tuple[dict[str, str], Settings]:
-    """The manifest's run facts and its non-empty config settings."""
+def _read_manifest(model_dir: str) -> tuple[dict[str, str], RunConfig]:
+    """The manifest's run facts and the run config its settings rebuild, checked against its config_sha256."""
     path = os.path.join(model_dir, MANIFEST_FILE)
     _require_file(path, "manifest")
     facts: dict[str, str] = {}
     settings: Settings = {}
+    config_sha256 = None
     with open(path, encoding="utf-8") as handle:
         first = handle.readline().rstrip("\n")
         if first != MANIFEST_VERSION:
             raise DataError(f"not a {MANIFEST_VERSION} file: {path}")
         for raw in handle:
             key, _, value = raw.rstrip("\n").partition("=")
-            if key.startswith("run."):
+            if key == "config_sha256":
+                config_sha256 = value
+            elif key.startswith("run."):
                 facts[key.removeprefix("run.")] = value
             elif key.startswith("config."):
                 section, _, option = key.removeprefix("config.").partition(".")
                 if option not in _SCHEMA.get(section, {}):
                     raise DataError(f"unknown manifest key {key} in {path}")
-                if value:
+                # An empty value stands for an unset optional key, but is itself the value of any other.
+                if value or _SCHEMA[section][option][0] is not None:
                     settings[(section, option)] = value
-    return facts, settings
+    config = _build_run_config(settings)
+    if config.config_sha256 != config_sha256:
+        raise DataError(f"manifest config_sha256={config_sha256} does not match its config.* settings in {path}")
+    return facts, config
 
 
-def _artifact_facts(tfidf: TfIdfModel, classifier: Classifier) -> dict[str, object]:
+def _artifact_facts(tfidf: TfIdfModel, classifier: LinearModel) -> dict[str, object]:
     """The manifest's run facts that the tfidf and model artifacts determine."""
     return {
         "model": classifier.kind.value,
@@ -319,7 +326,7 @@ def _featurize(config: RunConfig, dataset: Dataset, texts: list[str]) -> tuple[T
 
 
 def _write_artifacts(
-    config: RunConfig, tfidf: TfIdfModel, model: Classifier, n_train: int, out_dir: str, tfidf_text: str | None = None
+    config: RunConfig, tfidf: TfIdfModel, model: LinearModel, n_train: int, out_dir: str, tfidf_text: str | None = None
 ) -> None:
     """Write the tfidf (tfidf_text if given) and model artifacts, then the manifest that describes them."""
     os.makedirs(out_dir, exist_ok=True)
@@ -333,7 +340,7 @@ def _write_artifacts(
         handle.write("\n".join(lines) + "\n")
 
 
-def _load_artifacts(model_dir: str) -> tuple[TfIdfModel, Classifier, RunConfig]:
+def _load_artifacts(model_dir: str) -> tuple[TfIdfModel, LinearModel, RunConfig]:
     tfidf_path = os.path.join(model_dir, TFIDF_FILE)
     model_path = os.path.join(model_dir, MODEL_FILE)
     _require_file(tfidf_path, "vectorizer artifact")
@@ -344,11 +351,11 @@ def _load_artifacts(model_dir: str) -> tuple[TfIdfModel, Classifier, RunConfig]:
         raise DataError(
             f"vectorizer dimension {tfidf.dim} does not match model dimension {classifier.dim}"
         )
-    facts, settings = _read_manifest(model_dir)
+    facts, config = _read_manifest(model_dir)
     for key, value in _artifact_facts(tfidf, classifier).items():
         if facts.get(key) != str(value):
             raise DataError(f"manifest run.{key}={facts.get(key)} does not match the artifacts ({value})")
-    return tfidf, classifier, _build_run_config(settings)
+    return tfidf, classifier, config
 
 
 def _predict_dataset(model_dir: str, dataset: Dataset) -> list:

@@ -1,10 +1,12 @@
-"""Three classical classifiers behind one fit/predict contract.
+"""Three classical classifiers behind one fit/predict contract and one model type.
 
 Multinomial logistic regression (mini-batch gradient descent on softmax
 cross-entropy), a linear one-vs-rest SVM (subgradient descent on hinge
 loss), and multinomial naive Bayes (closed form with Laplace smoothing).
-All training is deterministic given the seed; class order is always
-negative, neutral, positive.
+All three are one linear scorer, LinearModel: class scores are
+X @ weights.T + bias.  For naive Bayes the weights are the log-likelihoods
+and the bias the log-priors.  All training is deterministic given the
+seed; class order is always negative, neutral, positive.
 """
 
 import math
@@ -68,35 +70,23 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """LR or SVM parameters: class scores are weights @ x + bias."""
+    """Parameters of every model kind: class scores are weights @ x + bias.
+
+    For MNB, weights are the log-likelihoods, bias the log-priors and alpha the
+    Laplace smoothing they were estimated with (None for LR and SVM)."""
 
     kind: ModelKind
     weights: np.ndarray  # (n_classes, dim)
     bias: np.ndarray  # (n_classes,)
+    alpha: float | None = None
+
+    def __post_init__(self):
+        if (self.alpha is None) != (self.kind is not ModelKind.MNB):
+            raise ConfigError("a model carries alpha if and only if it is MNB")
 
     @property
     def dim(self) -> int:
         return self.weights.shape[1]
-
-
-@dataclass(frozen=True)
-class MnbModel:
-    """Multinomial naive Bayes parameters in log space."""
-
-    log_prior: np.ndarray  # (n_classes,)
-    log_likelihood: np.ndarray  # (n_classes, dim)
-    alpha: float
-
-    @property
-    def kind(self) -> ModelKind:
-        return ModelKind.MNB
-
-    @property
-    def dim(self) -> int:
-        return self.log_likelihood.shape[1]
-
-
-Classifier = LinearModel | MnbModel
 
 
 def _softmax_loss(scores: np.ndarray, y_idx: np.ndarray):
@@ -147,16 +137,15 @@ def ovr_hinge_objective(W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_l
     return _regularized(_hinge_loss, W, b, X, y_idx, l2_lambda)
 
 
-_SCORE_LOSS = {softmax_cross_entropy: _softmax_loss, ovr_hinge_objective: _hinge_loss}
+_SCORE_LOSS = {ModelKind.LR: _softmax_loss, ModelKind.SVM: _hinge_loss}
 
 
-def _gradient_descent(X: sparse.csr_matrix, y_idx: np.ndarray, n_classes: int, cfg: TrainConfig, objective):
-    """Mini-batch gradient descent on objective, each step in O(nnz of its batch), not O(dim).
+def _gradient_descent(X: sparse.csr_matrix, y_idx: np.ndarray, n_classes: int, cfg: TrainConfig, score_loss):
+    """Mini-batch gradient descent on score_loss plus the L2 term, each step in O(nnz of its batch), not O(dim).
 
     W = s * V (the scaling trick of Pegasos and of Bottou's "Stochastic Gradient Descent
     Tricks"): a step's L2 decay scales s and its data gradient changes only the batch's
     columns of V.  ||V||^2 is kept up to date for the L2 term of the loss check."""
-    score_loss = _SCORE_LOSS[objective]
     rng = np.random.default_rng(cfg.seed)
     n, dim = X.shape
     V = np.zeros((n_classes, dim))
@@ -213,7 +202,7 @@ def mnb_parameters(X, y_idx: np.ndarray, n_classes: int, alpha: float):
     return log_prior, log_likelihood
 
 
-def fit(X: sparse.csr_matrix, y: Sequence[Sentiment], cfg: TrainConfig) -> Classifier:
+def fit(X: sparse.csr_matrix, y: Sequence[Sentiment], cfg: TrainConfig) -> LinearModel:
     """Train the configured classifier on the rows of X; every class must appear in y."""
     n = X.shape[0]
     if n != len(y):
@@ -226,23 +215,20 @@ def fit(X: sparse.csr_matrix, y: Sequence[Sentiment], cfg: TrainConfig) -> Class
     y_idx = np.asarray([int(label) for label in y])
     if cfg.model_kind is ModelKind.MNB:
         log_prior, log_likelihood = mnb_parameters(X, y_idx, N_CLASSES, cfg.mnb_alpha)
-        return MnbModel(log_prior=log_prior, log_likelihood=log_likelihood, alpha=cfg.mnb_alpha)
-    objective = softmax_cross_entropy if cfg.model_kind is ModelKind.LR else ovr_hinge_objective
-    weights, bias = _gradient_descent(X, y_idx, N_CLASSES, cfg, objective)
+        return LinearModel(kind=ModelKind.MNB, weights=log_likelihood, bias=log_prior, alpha=cfg.mnb_alpha)
+    weights, bias = _gradient_descent(X, y_idx, N_CLASSES, cfg, _SCORE_LOSS[cfg.model_kind])
     return LinearModel(kind=cfg.model_kind, weights=weights, bias=bias)
 
 
-def predict_scores(model: Classifier, X: sparse.csr_matrix) -> np.ndarray:
+def predict_scores(model: LinearModel, X: sparse.csr_matrix) -> np.ndarray:
     """Raw class scores (logits, margins, or log-joint), one row per row of X,
     columns in class-ordinal order."""
     if X.shape[1] != model.dim:
         raise DataError(f"feature dimension {X.shape[1]} does not match model dimension {model.dim}")
-    if isinstance(model, MnbModel):
-        return model.log_prior + X @ model.log_likelihood.T
     return X @ model.weights.T + model.bias
 
 
-def predict_batch(model: Classifier, X: sparse.csr_matrix) -> list[Sentiment]:
+def predict_batch(model: LinearModel, X: sparse.csr_matrix) -> list[Sentiment]:
     """Argmax of predict_scores per row; ties go to the lowest class ordinal."""
     return [Sentiment(int(c)) for c in np.argmax(predict_scores(model, X), axis=1)]
 
@@ -251,23 +237,26 @@ def _format_row(values: np.ndarray) -> str:
     return " ".join(["%.17g"] * len(values)) % tuple(values.tolist())
 
 
-def _model_lines(model: Classifier):
-    """The lines of the versioned text serialization: a header, then one line of parameters per class."""
-    if isinstance(model, MnbModel):
+def _model_lines(model: LinearModel):
+    """The lines of the versioned text serialization: a header, then one line of parameters per class.
+
+    An MNB file carries alpha in its header and puts the bias first on each line; LR and SVM
+    files put it last."""
+    if model.kind is ModelKind.MNB:
         yield f"{FORMAT_VERSION} mnb {model.dim} {model.alpha:.17g}"
-        rows = (np.concatenate(([model.log_prior[c]], model.log_likelihood[c])) for c in range(N_CLASSES))
+        rows = (np.concatenate(([model.bias[c]], model.weights[c])) for c in range(N_CLASSES))
     else:
         yield f"{FORMAT_VERSION} {model.kind.value} {model.dim}"
         rows = (np.concatenate((model.weights[c], [model.bias[c]])) for c in range(N_CLASSES))
     yield from map(_format_row, rows)
 
 
-def format_model(model: Classifier) -> str:
+def format_model(model: LinearModel) -> str:
     """Versioned text serialization, one line of parameters per class."""
     return "".join(line + "\n" for line in _model_lines(model))
 
 
-def parse_model(text: str) -> Classifier:
+def parse_model(text: str) -> LinearModel:
     lines = [line for line in text.splitlines() if line]
     if not lines or not lines[0].startswith(FORMAT_VERSION + " "):
         raise DataError("not a model v1 file")
@@ -297,19 +286,19 @@ def parse_model(text: str) -> Classifier:
             raise DataError(f"malformed mnb alpha {fields[4]!r}") from None
         if not (alpha > 0 and math.isfinite(alpha)):
             raise DataError(f"mnb alpha must be positive and finite, got {alpha}")
-        return MnbModel(log_prior=params[:, 0].copy(), log_likelihood=params[:, 1:].copy(), alpha=alpha)
+        return LinearModel(kind=kind, weights=params[:, 1:].copy(), bias=params[:, 0].copy(), alpha=alpha)
     if len(fields) != 4:
         raise DataError(f"malformed model header {lines[0]!r}")
     return LinearModel(kind=kind, weights=params[:, :-1].copy(), bias=params[:, -1].copy())
 
 
-def save_model(model: Classifier, path: str) -> None:
+def save_model(model: LinearModel, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for line in _model_lines(model):
             handle.write(line)
             handle.write("\n")
 
 
-def load_model(path: str) -> Classifier:
+def load_model(path: str) -> LinearModel:
     with open(path, encoding="utf-8", newline="") as handle:
         return parse_model(handle.read())

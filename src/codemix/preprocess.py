@@ -131,9 +131,14 @@ _URL_RE = re.compile(
 )
 
 
+def _is_url(token: str) -> bool:
+    # Every alternative of _URL_RE holds a literal "." or ":", which no other character case-folds to.
+    return ("." in token or ":" in token) and _URL_RE.fullmatch(token) is not None
+
+
 def replace_urls(text: str) -> str:
     """Replace every URL-shaped token with the literal token URL."""
-    return " ".join("URL" if _URL_RE.fullmatch(token) else token for token in text.split())
+    return " ".join("URL" if _is_url(token) else token for token in text.split())
 
 
 def collapse_elongation(text: str, min_run: int = 3) -> str:

@@ -6,19 +6,20 @@ closed-form estimates, finite-difference gradients and dense score
 evaluation.  The ``frozen_*`` functions keep earlier implementations that
 the library must reproduce: the per-vector TF-IDF transform, idf and
 per-row scorer, the dense gradient-descent step with its two objectives,
-and the per-character normalizer rules with the pipeline around them (which
-calls the library's three rules that kept their code: mentions, URLs and
-hashtags).
+the per-character normalizer rules and the per-token URL rule, with the
+pipeline around them (which calls the library's two rules that kept their
+code: mentions and hashtags).
 """
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 
 from codemix.corpus import Sentiment
 from codemix.errors import ConfigError, NumericError
-from codemix.preprocess import remove_mentions, replace_urls, segment_hashtags
+from codemix.preprocess import remove_mentions, segment_hashtags
 
 
 def word_tokens(text):
@@ -262,6 +263,19 @@ def frozen_remove_non_ascii(text):
     return _squash("".join(ch for ch in text if ord(ch) <= 0x7F))
 
 
+_FROZEN_URL_RE = re.compile(
+    r"[a-z][a-z0-9+.-]*://\S*"
+    r"|www\.\S+"
+    r"|(?:[a-z0-9](?:[a-z0-9-]*[a-z0-9])?\.)+(?:com|net|org|edu|gov|mil|io|co|es|uk)(?:[/?]\S*)?",
+    re.IGNORECASE,
+)
+
+
+def frozen_replace_urls(text):
+    """URL replacement that runs the full match on every token."""
+    return " ".join("URL" if _FROZEN_URL_RE.fullmatch(token) else token for token in text.split())
+
+
 def frozen_collapse_elongation(text, min_run=3):
     if min_run < 2:
         raise ConfigError("min_run must be >= 2")
@@ -287,7 +301,7 @@ def frozen_run_pipeline(text, config, entries):
         if config.remove_mentions:
             text = remove_mentions(text)
         if config.replace_urls:
-            text = replace_urls(text)
+            text = frozen_replace_urls(text)
         if config.collapse_elongation:
             text = frozen_collapse_elongation(text, config.elongation_min_run)
         if config.segment_hashtags:

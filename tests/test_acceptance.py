@@ -131,8 +131,8 @@ def test_mnb_matches_closed_form_oracle():
             TrainConfig(model_kind=ModelKind.MNB, mnb_alpha=alpha),
         )
         want_prior, want_like = oracles.mnb_estimates(counts.tolist(), labels.tolist(), 3, alpha)
-        assert np.max(np.abs(model.log_prior - np.asarray(want_prior))) < 1e-12
-        assert np.max(np.abs(model.log_likelihood - np.asarray(want_like))) < 1e-12
+        assert np.max(np.abs(model.bias - np.asarray(want_prior))) < 1e-12
+        assert np.max(np.abs(model.weights - np.asarray(want_like))) < 1e-12
     _finish("mnb closed-form equivalence (100 matrices)", started, 5.0)
 
 

@@ -187,6 +187,29 @@ class TestEvalCommand:
         assert code == 3
         assert "unknown manifest key" in err
 
+    @pytest.mark.parametrize(
+        "line, tampered",
+        [
+            ("config.preprocess.remove_non_ascii=true", "config.preprocess.remove_non_ascii=false"),
+            ("config_sha256=", "config_sha256=0"),
+        ],
+    )
+    def test_manifest_config_not_matching_its_hash_is_data_error(self, workspace, capsys, line, tampered):
+        assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
+        manifest = workspace / "out" / "manifest.txt"
+        text = manifest.read_text(encoding="utf-8")
+        assert text.count(line) == 1
+        manifest.write_text(text.replace(line, tampered), encoding="utf-8")
+        code, _, err = run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)
+        assert code == 3
+        assert "config_sha256" in err
+
+    def test_empty_value_of_a_key_with_a_default_keeps_the_hash(self, workspace, capsys):
+        args = ["train", "--config", workspace / "cfg.ini", "--data.aux_label_column", ""]
+        assert run(args, capsys)[0] == 0
+        assert "config.data.aux_label_column=\n" in (workspace / "out" / "manifest.txt").read_text(encoding="utf-8")
+        assert run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)[0] == 0
+
     def test_unlabeled_data_is_data_error(self, workspace, capsys):
         assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
         unlabeled = Dataset(

@@ -10,8 +10,8 @@ import oracles
 from codemix.corpus import Sentiment
 from codemix.errors import ConfigError, DataError, NumericError
 from codemix.models import (
+    _SCORE_LOSS,
     LinearModel,
-    MnbModel,
     ModelKind,
     TrainConfig,
     _format_row,
@@ -96,17 +96,17 @@ class TestMnb:
                 TrainConfig(model_kind=ModelKind.MNB, mnb_alpha=alpha),
             )
             want_prior, want_like = oracles.mnb_estimates(counts.tolist(), labels.tolist(), 3, alpha)
-            assert np.max(np.abs(model.log_prior - np.array(want_prior))) < 1e-12
-            assert np.max(np.abs(model.log_likelihood - np.array(want_like))) < 1e-12
+            assert np.max(np.abs(model.bias - np.array(want_prior))) < 1e-12
+            assert np.max(np.abs(model.weights - np.array(want_like))) < 1e-12
 
     def test_parameters_are_normalized_distributions(self):
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 9, size=(12, 6)).astype(float)
         labels = [Sentiment(int(c)) for c in np.arange(12) % 3]
         model = fit(csr(counts), labels, TrainConfig(model_kind=ModelKind.MNB))
-        assert abs(np.exp(model.log_prior).sum() - 1.0) < 1e-9
+        assert abs(np.exp(model.bias).sum() - 1.0) < 1e-9
         for c in range(3):
-            assert abs(np.exp(model.log_likelihood[c]).sum() - 1.0) < 1e-9
+            assert abs(np.exp(model.weights[c]).sum() - 1.0) < 1e-9
 
     def test_scaling_leaves_predictions_unchanged_with_equal_priors(self):
         # balanced classes keep the prior term constant across classes, so
@@ -123,14 +123,14 @@ class TestMnb:
         X, y = separable_points()
         model = fit(X, y, TrainConfig(model_kind=ModelKind.MNB))
         zero = sparse.csr_matrix((1, 3))
-        assert np.array_equal(predict_scores(model, zero)[0], model.log_prior)
-        assert predict_batch(model, zero) == [Sentiment(int(np.argmax(model.log_prior)))]
+        assert np.array_equal(predict_scores(model, zero)[0], model.bias)
+        assert predict_batch(model, zero) == [Sentiment(int(np.argmax(model.bias)))]
 
     def test_equal_priors_and_empty_row_predict_negative(self):
         counts = np.random.default_rng(8).integers(1, 5, size=(6, 4)).astype(float)
         labels = [Sentiment(int(c)) for c in np.arange(6) % 3]
         model = fit(csr(counts), labels, TrainConfig(model_kind=ModelKind.MNB))
-        assert model.log_prior[0] == model.log_prior[1] == model.log_prior[2]
+        assert model.bias[0] == model.bias[1] == model.bias[2]
         assert predict_batch(model, sparse.csr_matrix((2, 4))) == [Sentiment.NEGATIVE] * 2
 
 
@@ -161,7 +161,7 @@ class TestLogisticRegression:
         probs = []
         for epochs in (1, 2, 4, 8, 16):
             cfg = TrainConfig(model_kind=ModelKind.LR, l2_lambda=0.0, learning_rate=0.5, epochs=epochs, batch_size=4)
-            W, b = _gradient_descent(X, y, 3, cfg, softmax_cross_entropy)
+            W, b = _gradient_descent(X, y, 3, cfg, _SCORE_LOSS[ModelKind.LR])
             logits = np.asarray(X[:1] @ W.T)[0] + b
             exp = np.exp(logits - logits.max())
             probs.append(exp[0] / exp.sum())
@@ -268,10 +268,10 @@ class TestSparseStepMatchesDenseOracle:
             model_kind=kind, l2_lambda=lam, learning_rate=lr, epochs=epochs, batch_size=batch_size, seed=seed
         )
         if kind is ModelKind.LR:
-            objective, frozen = softmax_cross_entropy, oracles.frozen_softmax_cross_entropy
+            frozen = oracles.frozen_softmax_cross_entropy
         else:
-            objective, frozen = ovr_hinge_objective, oracles.frozen_ovr_hinge_objective
-        W, b = _gradient_descent(X, y, 3, cfg, objective)
+            frozen = oracles.frozen_ovr_hinge_objective
+        W, b = _gradient_descent(X, y, 3, cfg, _SCORE_LOSS[kind])
         W_ref, b_ref = oracles.frozen_gradient_descent(X, y, 3, cfg, frozen)
         assert W.shape == W_ref.shape
         assert np.abs(W - W_ref).max() <= 1e-12
@@ -285,7 +285,7 @@ class TestSparseStepMatchesDenseOracle:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
             oracles.frozen_gradient_descent(X, y_idx, 3, cfg, oracles.frozen_ovr_hinge_objective)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
-            _gradient_descent(X, y_idx, 3, cfg, ovr_hinge_objective)
+            _gradient_descent(X, y_idx, 3, cfg, _SCORE_LOSS[ModelKind.SVM])
 
     @pytest.mark.parametrize("objective", [softmax_cross_entropy, ovr_hinge_objective])
     def test_objectives_match_frozen(self, objective):
@@ -364,7 +364,7 @@ class TestPredict:
         dense = rng.integers(0, 4, size=(20, 4)).astype(float)
         got = predict_scores(model, csr(dense))
         for row, x in enumerate(dense):
-            expected = oracles.mnb_scores(model.log_prior.tolist(), model.log_likelihood.tolist(), x.tolist())
+            expected = oracles.mnb_scores(model.bias.tolist(), model.weights.tolist(), x.tolist())
             assert np.allclose(got[row], expected, atol=1e-12)
 
     def test_predict_is_argmax_of_scores(self):
@@ -393,7 +393,7 @@ class TestPredict:
                 counts = rng.integers(0, 4, size=(6, dim)).astype(float)
                 labels = [Sentiment(int(c)) for c in rng.permutation(np.arange(6) % 3)]
                 model = fit(csr(counts), labels, TrainConfig(model_kind=ModelKind.MNB))
-                weights, bias = model.log_likelihood, model.log_prior
+                weights, bias = model.weights, model.bias
             else:
                 weights, bias = rng.normal(size=(3, dim)), rng.normal(size=3)
                 model = LinearModel(kind=ModelKind.SVM, weights=weights, bias=bias)
@@ -401,6 +401,26 @@ class TestPredict:
                 Sentiment(oracles.frozen_predict(weights, bias, X[i].indices, X[i].data)) for i in range(n)
             ]
             assert predict_batch(model, X) == expected
+
+
+# format_model of two toy fits, generated when MNB still had its own parameter type: MNB files
+# keep the bias first and alpha in the header.
+GOLDEN_MODEL_FILES = {
+    ModelKind.MNB: (
+        TrainConfig(model_kind=ModelKind.MNB, mnb_alpha=0.5),
+        "model v1 mnb 3 0.5\n"
+        "-1.0986122886681098 -0.37729423114146804 -1.7635885922613588 -1.9459101490553135\n"
+        "-1.0986122886681098 -1.9459101490553135 -0.37729423114146804 -1.7635885922613588\n"
+        "-1.0986122886681098 -1.7635885922613588 -1.9459101490553135 -0.37729423114146804\n",
+    ),
+    ModelKind.SVM: (
+        TrainConfig(model_kind=ModelKind.SVM, epochs=5, seed=3),
+        "model v1 svm 3\n"
+        "0.074999250003749976 -0.074999250003749976 -0.083332500004166657 -0.083333333333333329\n"
+        "-0.083332500004166657 0.074999250003749976 -0.074999250003749976 -0.083333333333333343\n"
+        "-0.074999250003749976 -0.083332500004166657 0.074999250003749976 -0.083333333333333329\n",
+    ),
+}
 
 
 class TestPersistence:
@@ -414,13 +434,25 @@ class TestPersistence:
         restored = parse_model(format_model(model))
         assert restored.kind == model.kind
         assert restored.dim == model.dim
-        if kind is ModelKind.MNB:
-            assert np.array_equal(restored.log_prior, model.log_prior)
-            assert np.array_equal(restored.log_likelihood, model.log_likelihood)
-            assert restored.alpha == model.alpha
-        else:
-            assert np.array_equal(restored.weights, model.weights)
-            assert np.array_equal(restored.bias, model.bias)
+        assert np.array_equal(restored.weights, model.weights)
+        assert np.array_equal(restored.bias, model.bias)
+        assert restored.alpha == model.alpha
+
+    @pytest.mark.parametrize("kind", list(GOLDEN_MODEL_FILES))
+    def test_fit_gives_golden_file(self, kind):
+        cfg, text = GOLDEN_MODEL_FILES[kind]
+        X, y = separable_points()
+        assert format_model(fit(X, y, cfg)) == text
+
+    @pytest.mark.parametrize("kind", list(GOLDEN_MODEL_FILES))
+    def test_golden_file_round_trips(self, kind):
+        text = GOLDEN_MODEL_FILES[kind][1]
+        assert format_model(parse_model(text)) == text
+
+    @pytest.mark.parametrize("kind, alpha", [(ModelKind.MNB, None), (ModelKind.LR, 1.0), (ModelKind.SVM, 0.5)])
+    def test_alpha_belongs_to_mnb_only(self, kind, alpha):
+        with pytest.raises(ConfigError):
+            LinearModel(kind=kind, weights=np.zeros((3, 2)), bias=np.zeros(3), alpha=alpha)
 
     def test_file_round_trip(self, tmp_path):
         model = self.fitted(ModelKind.SVM)

@@ -289,6 +289,29 @@ class TestMatchesFrozenRules:
         for min_run in range(2, 6):
             assert collapse_elongation(text, min_run) == oracles.frozen_collapse_elongation(text, min_run)
 
+    @given(
+        text=st.lists(
+            st.one_of(
+                st.sampled_from(TRICKY + ["www", "http", "com", "IO", "://", "/", "?", "-", "x", "\u212a"]),
+                st.characters(codec="utf-8", categories=("L", "N", "P", "S", "Z")),
+                st.just("."),
+                st.just(":"),
+            ),
+            max_size=30,
+        ).map("".join)
+    )
+    @example(text="ſ.com")
+    @example(text="\u212a.io")  # Kelvin sign, which IGNORECASE matches to "k"
+    @example(text="www.")
+    @example(text="a.b")
+    @example(text="mailto:x")
+    @example(text="http://x")  # a URL with no "."
+    @example(text=".")
+    @example(text=":")
+    @example(text="URL")
+    def test_replace_urls(self, text):
+        assert replace_urls(text) == oracles.frozen_replace_urls(text)
+
     @given(text=st.text(max_size=40))
     def test_remove_non_ascii(self, text):
         assert remove_non_ascii(text) == oracles.frozen_remove_non_ascii(text)
