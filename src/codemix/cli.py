@@ -3,8 +3,8 @@
 Configuration is a flat ``key = value`` file with one section per module
 (see _SCHEMA); every setting can also be passed as ``--section.key value``,
 which overrides the file.  The environment variable CODEMIX_SEED overrides
-the configured seed.  Exit codes: 0 success, 2 config error, 3 data error,
-4 numeric failure.
+the configured seed.  Exit codes: 0 success, 2 config error, 3 data error or an
+OSError (an unreadable input or unwritable output.dir), 4 numeric failure.
 """
 
 import argparse
@@ -12,7 +12,7 @@ import configparser
 import hashlib
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,41 +68,48 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(value)
 
 
-# section -> key -> (default, parser, help); None defaults mark optional keys.
-_SCHEMA: dict[str, dict[str, tuple[object, object, str]]] = {
+def _parse_aux_lang(raw: str) -> LangTag:
+    if raw not in ("lang1", "lang2"):
+        raise ConfigError(f"data.aux_lang must be lang1 or lang2, got {raw!r}")
+    return LangTag(raw)
+
+
+# section -> key -> (default, parser, help); default = manifest text, "" = optional, None when unset.
+# The preprocess keys are PipelineConfig's fields, the train keys TrainConfig's (model is model_kind).
+_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], object], str]]] = {
     "data": {
-        "train": (None, str, "training corpus in block format"),
-        "dev": (None, str, "labeled development corpus in block format"),
-        "aux_csv": (None, str, "optional auxiliary monolingual CSV"),
+        "train": ("", str, "training corpus in block format"),
+        "dev": ("", str, "labeled development corpus in block format"),
+        "aux_csv": ("", str, "optional auxiliary monolingual CSV"),
         "aux_label_column": ("label", str, "label column name in the auxiliary CSV"),
         "aux_text_column": ("text", str, "text column name in the auxiliary CSV"),
-        "aux_lang": ("lang1", str, "language tag for auxiliary tokens (lang1 or lang2)"),
-        "lexicon": (None, str, "emoticon lexicon file (default: bundled)"),
+        "aux_lang": ("lang1", _parse_aux_lang, "language tag for auxiliary tokens (lang1 or lang2)"),
+        "lexicon": ("", str, "emoticon lexicon file (default: bundled)"),
     },
     "preprocess": {
-        "replace_emoji": (True, _parse_bool, "replace emoji/emoticons with textual names"),
-        "remove_mentions": (True, _parse_bool, "drop @mention tokens"),
-        "replace_urls": (True, _parse_bool, "replace URL-shaped tokens with URL"),
-        "collapse_elongation": (True, _parse_bool, "collapse elongated letter runs"),
-        "segment_hashtags": (True, _parse_bool, "split hashtags into words"),
-        "remove_non_ascii": (True, _parse_bool, "strip non-ASCII codepoints"),
-        "elongation_min_run": (3, int, "min identical-letter run length to collapse"),
+        "replace_emoji": ("true", _parse_bool, "replace emoji/emoticons with textual names"),
+        "remove_mentions": ("true", _parse_bool, "drop @mention tokens"),
+        "replace_urls": ("true", _parse_bool, "replace URL-shaped tokens with URL"),
+        "collapse_elongation": ("true", _parse_bool, "collapse elongated letter runs"),
+        "segment_hashtags": ("true", _parse_bool, "split hashtags into words"),
+        "remove_non_ascii": ("true", _parse_bool, "strip non-ASCII codepoints"),
+        "elongation_min_run": ("3", int, "min identical-letter run length to collapse"),
     },
     "vectorize": {
-        "doc_mode": ("all_documents", str, "all_documents or per_class_concatenated"),
-        "word_ngram_min": (1, int, "word n-gram lower bound"),
-        "word_ngram_max": (1, int, "word n-gram upper bound"),
-        "char_ngram_min": (2, int, "char n-gram lower bound"),
-        "char_ngram_max": (5, int, "char n-gram upper bound"),
+        "doc_mode": ("all_documents", DocMode.from_value, "all_documents or per_class_concatenated"),
+        "word_ngram_min": ("1", int, "word n-gram lower bound"),
+        "word_ngram_max": ("1", int, "word n-gram upper bound"),
+        "char_ngram_min": ("2", int, "char n-gram lower bound"),
+        "char_ngram_max": ("5", int, "char n-gram upper bound"),
     },
     "train": {
-        "model": ("svm", str, "classifier: lr, mnb or svm"),
-        "l2_lambda": (1e-4, float, "L2 regularization strength"),
-        "learning_rate": (None, float, "step size (default: 0.1 for lr, 0.05 for svm)"),
-        "epochs": (50, int, "training epochs"),
-        "batch_size": (32, int, "mini-batch size"),
-        "mnb_alpha": (1.0, float, "MNB Laplace smoothing"),
-        "seed": (0, int, "RNG seed for deterministic training"),
+        "model": ("svm", ModelKind.from_value, "classifier: lr, mnb or svm"),
+        "l2_lambda": ("0.0001", float, "L2 regularization strength"),
+        "learning_rate": ("", float, "step size (default: 0.1 for lr, 0.05 for svm)"),
+        "epochs": ("50", int, "training epochs"),
+        "batch_size": ("32", int, "mini-batch size"),
+        "mnb_alpha": ("1.0", float, "MNB Laplace smoothing"),
+        "seed": ("0", int, "RNG seed for deterministic training"),
     },
     "output": {
         "dir": ("out", str, "directory for artifacts"),
@@ -142,30 +149,14 @@ def _collect_settings(args: argparse.Namespace) -> Settings:
     return settings
 
 
-def _render_default(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 @dataclass
 class RunConfig:
-    train_path: str | None
-    dev_path: str | None
-    aux_csv: str | None
-    aux_label_column: str
-    aux_text_column: str
-    aux_lang: LangTag
-    lexicon_path: str | None
     pipeline: PipelineConfig
-    doc_mode: DocMode
+    train: TrainConfig
     word_analyzer: Analyzer
     char_analyzer: Analyzer
-    train: TrainConfig
-    out_dir: str
-    resolved: dict[str, str]  # canonical "section.key" -> value string
+    values: dict[str, object]  # canonical "section.key" -> parsed value
+    resolved: dict[str, str]  # canonical "section.key" -> the text the manifest records
 
     @property
     def config_sha256(self) -> str:
@@ -175,62 +166,25 @@ class RunConfig:
 
 def _build_run_config(settings: Settings) -> RunConfig:
     resolved: dict[str, str] = {}
-    values: dict[tuple[str, str], object] = {}
+    sections: dict[str, dict[str, object]] = {}
     for section, keys in _SCHEMA.items():
+        parsed = sections[section] = {}
         for key, (default, parse, _help) in keys.items():
             raw = settings.get((section, key))
-            if raw is None:
-                values[(section, key)] = default
-                resolved[f"{section}.{key}"] = _render_default(default)
-                continue
+            text = default if raw is None else raw
+            resolved[f"{section}.{key}"] = text.strip()
             try:
-                values[(section, key)] = parse(raw)
+                parsed[key] = parse(text) if raw is not None or default else None
             except ValueError:
                 raise ConfigError(f"invalid value {raw!r} for {section}.{key}") from None
-            resolved[f"{section}.{key}"] = raw.strip()
-
-    def get(section: str, key: str) -> object:
-        return values[(section, key)]
-
-    aux_lang_raw = str(get("data", "aux_lang"))
-    if aux_lang_raw not in ("lang1", "lang2"):
-        raise ConfigError(f"data.aux_lang must be lang1 or lang2, got {aux_lang_raw!r}")
-    pipeline = PipelineConfig(
-        replace_emoji=bool(get("preprocess", "replace_emoji")),
-        remove_mentions=bool(get("preprocess", "remove_mentions")),
-        replace_urls=bool(get("preprocess", "replace_urls")),
-        collapse_elongation=bool(get("preprocess", "collapse_elongation")),
-        segment_hashtags=bool(get("preprocess", "segment_hashtags")),
-        remove_non_ascii=bool(get("preprocess", "remove_non_ascii")),
-        elongation_min_run=int(get("preprocess", "elongation_min_run")),
-    )
-    train_config = TrainConfig(
-        model_kind=ModelKind.from_value(str(get("train", "model"))),
-        l2_lambda=float(get("train", "l2_lambda")),
-        learning_rate=(None if get("train", "learning_rate") is None else float(get("train", "learning_rate"))),
-        epochs=int(get("train", "epochs")),
-        batch_size=int(get("train", "batch_size")),
-        mnb_alpha=float(get("train", "mnb_alpha")),
-        seed=int(get("train", "seed")),
-    )
+    train = dict(sections["train"])
+    vectorize = sections["vectorize"]
     return RunConfig(
-        train_path=get("data", "train"),
-        dev_path=get("data", "dev"),
-        aux_csv=get("data", "aux_csv"),
-        aux_label_column=str(get("data", "aux_label_column")),
-        aux_text_column=str(get("data", "aux_text_column")),
-        aux_lang=LangTag(aux_lang_raw),
-        lexicon_path=get("data", "lexicon"),
-        pipeline=pipeline,
-        doc_mode=DocMode.from_value(str(get("vectorize", "doc_mode"))),
-        word_analyzer=Analyzer(
-            AnalyzerKind.WORD, int(get("vectorize", "word_ngram_min")), int(get("vectorize", "word_ngram_max"))
-        ),
-        char_analyzer=Analyzer(
-            AnalyzerKind.CHAR, int(get("vectorize", "char_ngram_min")), int(get("vectorize", "char_ngram_max"))
-        ),
-        train=train_config,
-        out_dir=str(get("output", "dir")),
+        pipeline=PipelineConfig(**sections["preprocess"]),
+        train=TrainConfig(model_kind=train.pop("model"), **train),
+        word_analyzer=Analyzer(AnalyzerKind.WORD, vectorize["word_ngram_min"], vectorize["word_ngram_max"]),
+        char_analyzer=Analyzer(AnalyzerKind.CHAR, vectorize["char_ngram_min"], vectorize["char_ngram_max"]),
+        values={f"{section}.{key}": value for section, parsed in sections.items() for key, value in parsed.items()},
         resolved=resolved,
     )
 
@@ -241,9 +195,9 @@ def _require_file(path: str, what: str) -> None:
 
 
 def _load_lexicon(config: RunConfig) -> EmojiLexicon:
-    if config.lexicon_path:
-        _require_file(config.lexicon_path, "data.lexicon")
-        return EmojiLexicon.from_file(config.lexicon_path)
+    if config.values["data.lexicon"]:
+        _require_file(config.values["data.lexicon"], "data.lexicon")
+        return EmojiLexicon.from_file(config.values["data.lexicon"])
     return default_lexicon()
 
 
@@ -253,18 +207,19 @@ def _load_block_dataset(path: str, name: str) -> Dataset:
 
 
 def _load_training_data(config: RunConfig) -> Dataset:
-    if not config.train_path:
+    train_path, aux_path = config.values["data.train"], config.values["data.aux_csv"]
+    if not train_path:
         raise ConfigError("data.train is required")
-    _require_file(config.train_path, "data.train")
-    dataset = _load_block_dataset(config.train_path, "train")
-    if config.aux_csv:
-        _require_file(config.aux_csv, "data.aux_csv")
-        with open(config.aux_csv, encoding="utf-8", newline="") as handle:
+    _require_file(train_path, "data.train")
+    dataset = _load_block_dataset(train_path, "train")
+    if aux_path:
+        _require_file(aux_path, "data.aux_csv")
+        with open(aux_path, encoding="utf-8", newline="") as handle:
             aux = parse_monolingual_csv(
                 handle,
-                label_column=config.aux_label_column,
-                text_column=config.aux_text_column,
-                lang=config.aux_lang,
+                label_column=config.values["data.aux_label_column"],
+                text_column=config.values["data.aux_text_column"],
+                lang=config.values["data.aux_lang"],
                 name="aux",
             )
         dataset = concat_datasets(dataset, aux)
@@ -275,33 +230,45 @@ def _preprocess_texts(config: RunConfig, dataset: Dataset, lexicon: EmojiLexicon
     return [run_pipeline(tweet.text, config.pipeline, lexicon) for tweet in dataset]
 
 
+# The run.* facts a manifest records: the artifact facts, the training seed and the training set size.
+_RUN_FACTS = ("char_vocab_size", "dimension", "doc_mode", "model", "n_train_tweets", "seed", "word_vocab_size")
+
+
 def _read_manifest(model_dir: str) -> tuple[dict[str, str], RunConfig]:
-    """The manifest's run facts and the run config its settings rebuild, checked against its config_sha256."""
+    """The manifest's run facts and the run config its settings rebuild, checked against its config_sha256.
+
+    Refuses a key that _write_artifacts does not write, a repeated key and a run.seed other than the config's."""
     path = os.path.join(model_dir, MANIFEST_FILE)
     _require_file(path, "manifest")
     facts: dict[str, str] = {}
     settings: Settings = {}
     config_sha256 = None
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         first = handle.readline().rstrip("\n")
         if first != MANIFEST_VERSION:
             raise DataError(f"not a {MANIFEST_VERSION} file: {path}")
         for raw in handle:
             key, _, value = raw.rstrip("\n").partition("=")
+            if key in seen:
+                raise DataError(f"duplicate manifest key {key} in {path}")
+            seen.add(key)
+            section, _, option = key.removeprefix("config.").partition(".")
             if key == "config_sha256":
                 config_sha256 = value
-            elif key.startswith("run."):
+            elif key.startswith("run.") and key.removeprefix("run.") in _RUN_FACTS:
                 facts[key.removeprefix("run.")] = value
-            elif key.startswith("config."):
-                section, _, option = key.removeprefix("config.").partition(".")
-                if option not in _SCHEMA.get(section, {}):
-                    raise DataError(f"unknown manifest key {key} in {path}")
+            elif key.startswith("config.") and option in _SCHEMA.get(section, {}):
                 # An empty value stands for an unset optional key, but is itself the value of any other.
-                if value or _SCHEMA[section][option][0] is not None:
+                if value or _SCHEMA[section][option][0]:
                     settings[(section, option)] = value
+            else:
+                raise DataError(f"unknown manifest key {key} in {path}")
     config = _build_run_config(settings)
     if config.config_sha256 != config_sha256:
         raise DataError(f"manifest config_sha256={config_sha256} does not match its config.* settings in {path}")
+    if facts.get("seed") != str(config.train.seed):
+        raise DataError(f"manifest run.seed={facts.get('seed')} does not match config.train.seed in {path}")
     return facts, config
 
 
@@ -318,10 +285,11 @@ def _artifact_facts(tfidf: TfIdfModel, classifier: LinearModel) -> dict[str, obj
 
 def _featurize(config: RunConfig, dataset: Dataset, texts: list[str]) -> tuple[TfIdfModel, csr_matrix]:
     """Fit the configured doc mode's vectorizer and return it with the TF-IDF rows of texts."""
-    docs = prepare_documents(dataset, config.doc_mode, texts)
-    if config.doc_mode is DocMode.ALL_DOCUMENTS:
-        return fit_transform(docs, config.doc_mode, config.word_analyzer, config.char_analyzer)
-    tfidf = fit_tfidf(docs, config.doc_mode, config.word_analyzer, config.char_analyzer)
+    mode = config.values["vectorize.doc_mode"]
+    docs = prepare_documents(dataset, mode, texts)
+    if mode is DocMode.ALL_DOCUMENTS:
+        return fit_transform(docs, mode, config.word_analyzer, config.char_analyzer)
+    tfidf = fit_tfidf(docs, mode, config.word_analyzer, config.char_analyzer)
     return tfidf, transform_batch(tfidf, texts)
 
 
@@ -370,9 +338,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_training_data(config)
     tfidf, features = _featurize(config, dataset, _preprocess_texts(config, dataset, _load_lexicon(config)))
     classifier = fit(features, require_labels(dataset), config.train)
-    _write_artifacts(config, tfidf, classifier, len(dataset), config.out_dir)
+    _write_artifacts(config, tfidf, classifier, len(dataset), config.values["output.dir"])
     print(f"trained {config.train.model_kind.value} model on {len(dataset)} tweets")
-    print(f"artifacts written to {config.out_dir}")
+    print(f"artifacts written to {config.values['output.dir']}")
     return 0
 
 
@@ -419,11 +387,12 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         overrides = {("train", "model"): kind.value, ("vectorize", "doc_mode"): mode.value}
         configs[kind, mode] = _build_run_config({**base, **overrides})
     config = configs[_GRID_CELLS[0]]  # the cells differ only in train.model and vectorize.doc_mode
-    if not config.dev_path:
+    dev_path = config.values["data.dev"]
+    if not dev_path:
         raise ConfigError("data.dev is required for grid")
-    _require_file(config.dev_path, "data.dev")
+    _require_file(dev_path, "data.dev")
     dataset = _load_training_data(config)
-    dev = _load_block_dataset(config.dev_path, Path(config.dev_path).stem)
+    dev = _load_block_dataset(dev_path, Path(dev_path).stem)
     labels, gold = require_labels(dataset), require_labels(dev)
     lexicon = _load_lexicon(config)
     texts, dev_texts = (_preprocess_texts(config, data, lexicon) for data in (dataset, dev))
@@ -434,7 +403,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         dev_features = None  # built after the first write: held through that write it raised peak RSS ~2%
         for kind in ModelKind:
             classifier = fit(features, labels, configs[kind, mode].train)
-            cell_dir = os.path.join(config.out_dir, "grid", f"{kind.value}_{mode.value}")
+            cell_dir = os.path.join(config.values["output.dir"], "grid", f"{kind.value}_{mode.value}")
             _write_artifacts(configs[kind, mode], tfidf, classifier, len(dataset), cell_dir, tfidf_text)
             if dev_features is None:
                 dev_features = transform_batch(tfidf, dev_texts)

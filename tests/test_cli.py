@@ -47,6 +47,64 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+# manifest.txt of `train --data.train train.txt` run inside the workspace with every other setting
+# at its default: pins the manifest layout, each default's text and the config hash.
+GOLDEN_DEFAULT_MANIFEST = """\
+manifest v1
+config_sha256=458eef45ec14f58ede3780dd0996dc56fee53c87e0f88882d69423bcc769aabf
+run.char_vocab_size=1959
+run.dimension=1999
+run.doc_mode=all_documents
+run.model=svm
+run.n_train_tweets=90
+run.seed=0
+run.word_vocab_size=40
+config.data.aux_csv=
+config.data.aux_label_column=label
+config.data.aux_lang=lang1
+config.data.aux_text_column=text
+config.data.dev=
+config.data.lexicon=
+config.data.train=train.txt
+config.output.dir=out
+config.preprocess.collapse_elongation=true
+config.preprocess.elongation_min_run=3
+config.preprocess.remove_mentions=true
+config.preprocess.remove_non_ascii=true
+config.preprocess.replace_emoji=true
+config.preprocess.replace_urls=true
+config.preprocess.segment_hashtags=true
+config.train.batch_size=32
+config.train.epochs=50
+config.train.l2_lambda=0.0001
+config.train.learning_rate=
+config.train.mnb_alpha=1.0
+config.train.model=svm
+config.train.seed=0
+config.vectorize.char_ngram_max=5
+config.vectorize.char_ngram_min=2
+config.vectorize.doc_mode=all_documents
+config.vectorize.word_ngram_max=1
+config.vectorize.word_ngram_min=1
+"""
+
+# (command, flags, stderr): each flag set is one bad setting, refused before any work with exit 2.
+BAD_SETTINGS = [
+    ("train", ["--train.learning_rate", ""], "invalid value '' for train.learning_rate"),
+    ("train", ["--data.aux_lang", "lang3"], "data.aux_lang must be lang1 or lang2, got 'lang3'"),
+    ("train", ["--train.model", "xx"], "unknown model kind 'xx'"),
+    ("train", ["--train.epochs", "0"], "epochs must be >= 1"),
+    ("preprocess", ["--train.epochs", "0"], "epochs must be >= 1"),
+    ("train", ["--vectorize.doc_mode", "nope"], "unknown doc mode 'nope'"),
+    (
+        "train",
+        ["--vectorize.char_ngram_min", "6", "--vectorize.char_ngram_max", "3"],
+        "analyzer n-gram range must satisfy 1 <= min <= max <= 8",
+    ),
+    ("train", ["--preprocess.replace_emoji", "maybe"], "invalid value 'maybe' for preprocess.replace_emoji"),
+]
+
+
 class TestTrain:
     def test_writes_artifacts_and_manifest(self, workspace, capsys):
         code, out, err = run(["train", "--config", workspace / "cfg.ini"], capsys)
@@ -77,6 +135,21 @@ class TestTrain:
         assert run(args, capsys)[0] == 0
         second = {name: (out_dir / name).read_bytes() for name in ("tfidf.txt", "model.txt", "manifest.txt")}
         assert first == second
+
+    def test_default_manifest_matches_golden(self, workspace, capsys, monkeypatch):
+        monkeypatch.chdir(workspace)
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        assert run(["train", "--data.train", "train.txt"], capsys)[0] == 0
+        assert (workspace / "out" / "manifest.txt").read_text(encoding="utf-8") == GOLDEN_DEFAULT_MANIFEST
+
+    @pytest.mark.parametrize(
+        "command, flags, message", BAD_SETTINGS, ids=[f"{c} {' '.join(f)}" for c, f, _ in BAD_SETTINGS]
+    )
+    def test_bad_setting_is_config_error(self, workspace, capsys, command, flags, message):
+        source = ["--config", workspace / "cfg.ini"] if command == "train" else ["--data", workspace / "dev.txt"]
+        code, out, err = run([command, *source, *flags], capsys)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+        assert not (workspace / "out").exists()
 
     def test_missing_train_path_is_config_error(self, workspace, capsys):
         code, _, err = run(
@@ -129,6 +202,18 @@ class TestTrain:
         assert "run.n_train_tweets=93\n" in manifest
 
 
+# An appended manifest line -> the error it must raise.
+MANIFEST_LINE_REFUSALS = {
+    "config.train.momentum=0.9": "unknown manifest key config.train.momentum ",
+    "config.cache.dir=x": "unknown manifest key config.cache.dir ",
+    "config.train=": "unknown manifest key config.train ",
+    "run.bogus=1": "unknown manifest key run.bogus ",
+    "garbage": "unknown manifest key garbage ",
+    "configx.train.seed=3": "unknown manifest key configx.train.seed ",
+    "run.seed=99": "duplicate manifest key run.seed ",
+}
+
+
 class TestEvalCommand:
     def test_memorization_reaches_perfect_macro_f1(self, workspace, capsys):
         assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
@@ -166,7 +251,7 @@ class TestEvalCommand:
         assert code == 3
         assert "dimension" in err
 
-    @pytest.mark.parametrize("key", ["dimension", "word_vocab_size", "char_vocab_size", "model", "doc_mode"])
+    @pytest.mark.parametrize("key", ["dimension", "word_vocab_size", "char_vocab_size", "model", "doc_mode", "seed"])
     def test_manifest_run_fact_contradicting_artifacts(self, workspace, capsys, key):
         assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
         manifest = workspace / "out" / "manifest.txt"
@@ -178,14 +263,14 @@ class TestEvalCommand:
         assert code == 3
         assert f"run.{key}=7" in err
 
-    @pytest.mark.parametrize("line", ["config.train.momentum=0.9", "config.cache.dir=x", "config.train="])
+    @pytest.mark.parametrize("line", list(MANIFEST_LINE_REFUSALS))
     def test_unknown_manifest_config_key_is_data_error(self, workspace, capsys, line):
         assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
         manifest = workspace / "out" / "manifest.txt"
         manifest.write_text(manifest.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
         code, _, err = run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)
         assert code == 3
-        assert "unknown manifest key" in err
+        assert MANIFEST_LINE_REFUSALS[line] in err
 
     @pytest.mark.parametrize(
         "line, tampered",

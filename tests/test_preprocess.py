@@ -241,9 +241,9 @@ class TestProperties:
 
 
 # Characters whose case mappings trip a naive case-insensitive regex: "İ".lower()
-# is two code points, Kelvin "K" lowers to "k", "ǅ" is titlecase, "²" and "ⅰ"
+# is two code points, the Kelvin sign "\u212a" lowers to "k", "ǅ" is titlecase, "²" and "ⅰ"
 # are word characters but not letters, "ß"/"ẞ", "ſ" and the sigmas fold unevenly.
-TRICKY = list("İiIKkǅǆǄ²³ⅰⅠßẞſsSΣσςaA1_ ")
+TRICKY = list("İiIK\u212akǅǆǄ²³ⅰⅠßẞſsSΣσςaA1_ ")
 EMOJI_KEYS = [":)", ":-)", ":))", ":(", "<3", ", <3", "o_O", "❤", "❤️", "😀", "👍🏽"]
 mixed_texts = st.lists(
     st.one_of(
@@ -277,6 +277,8 @@ class TestMatchesFrozenRules:
     @example(text="İii", min_run=3)
     @example(text="İii", min_run=2)
     @example(text="KKk", min_run=3)
+    @example(text="\u212a\u212ak", min_run=3)
+    @example(text="k\u212a\u212a", min_run=3)
     @example(text="ǅǆǅ", min_run=3)
     @example(text="²²²", min_run=3)
     @example(text="ⅰⅰⅰ", min_run=3)
@@ -284,7 +286,7 @@ class TestMatchesFrozenRules:
     def test_collapse_elongation(self, text, min_run):
         assert collapse_elongation(text, min_run) == oracles.frozen_collapse_elongation(text, min_run)
 
-    @pytest.mark.parametrize("text", ["İii", "KKk", "ǅǆǅ", "²²²", "ⅰⅰⅰ"])
+    @pytest.mark.parametrize("text", ["İii", "KKk", "\u212a\u212ak", "k\u212a\u212a", "ǅǆǅ", "²²²", "ⅰⅰⅰ"])
     def test_explicit_case_folding_cases(self, text):
         for min_run in range(2, 6):
             assert collapse_elongation(text, min_run) == oracles.frozen_collapse_elongation(text, min_run)
