@@ -10,6 +10,7 @@ OSError (an unreadable input or unwritable output.dir), 4 numeric failure.
 import argparse
 import configparser
 import hashlib
+import itertools
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -55,12 +56,11 @@ from .vectorize import (
 TFIDF_FILE = "tfidf.txt"
 MODEL_FILE = "model.txt"
 MANIFEST_FILE = "manifest.txt"
-MANIFEST_VERSION = "manifest v1"
 SEED_ENV_VAR = "CODEMIX_SEED"
 
 
 def _parse_bool(raw: str) -> bool:
-    value = raw.strip().lower()
+    value = raw.lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):
@@ -171,8 +171,7 @@ def _build_run_config(settings: Settings) -> RunConfig:
         parsed = sections[section] = {}
         for key, (default, parse, _help) in keys.items():
             raw = settings.get((section, key))
-            text = default if raw is None else raw
-            resolved[f"{section}.{key}"] = text.strip()
+            text = resolved[f"{section}.{key}"] = (default if raw is None else raw).strip()
             try:
                 parsed[key] = parse(text) if raw is not None or default else None
             except ValueError:
@@ -230,59 +229,6 @@ def _preprocess_texts(config: RunConfig, dataset: Dataset, lexicon: EmojiLexicon
     return [run_pipeline(tweet.text, config.pipeline, lexicon) for tweet in dataset]
 
 
-# The run.* facts a manifest records: the artifact facts, the training seed and the training set size.
-_RUN_FACTS = ("char_vocab_size", "dimension", "doc_mode", "model", "n_train_tweets", "seed", "word_vocab_size")
-
-
-def _read_manifest(model_dir: str) -> tuple[dict[str, str], RunConfig]:
-    """The manifest's run facts and the run config its settings rebuild, checked against its config_sha256.
-
-    Refuses a key that _write_artifacts does not write, a repeated key and a run.seed other than the config's."""
-    path = os.path.join(model_dir, MANIFEST_FILE)
-    _require_file(path, "manifest")
-    facts: dict[str, str] = {}
-    settings: Settings = {}
-    config_sha256 = None
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        first = handle.readline().rstrip("\n")
-        if first != MANIFEST_VERSION:
-            raise DataError(f"not a {MANIFEST_VERSION} file: {path}")
-        for raw in handle:
-            key, _, value = raw.rstrip("\n").partition("=")
-            if key in seen:
-                raise DataError(f"duplicate manifest key {key} in {path}")
-            seen.add(key)
-            section, _, option = key.removeprefix("config.").partition(".")
-            if key == "config_sha256":
-                config_sha256 = value
-            elif key.startswith("run.") and key.removeprefix("run.") in _RUN_FACTS:
-                facts[key.removeprefix("run.")] = value
-            elif key.startswith("config.") and option in _SCHEMA.get(section, {}):
-                # An empty value stands for an unset optional key, but is itself the value of any other.
-                if value or _SCHEMA[section][option][0]:
-                    settings[(section, option)] = value
-            else:
-                raise DataError(f"unknown manifest key {key} in {path}")
-    config = _build_run_config(settings)
-    if config.config_sha256 != config_sha256:
-        raise DataError(f"manifest config_sha256={config_sha256} does not match its config.* settings in {path}")
-    if facts.get("seed") != str(config.train.seed):
-        raise DataError(f"manifest run.seed={facts.get('seed')} does not match config.train.seed in {path}")
-    return facts, config
-
-
-def _artifact_facts(tfidf: TfIdfModel, classifier: LinearModel) -> dict[str, object]:
-    """The manifest's run facts that the tfidf and model artifacts determine."""
-    return {
-        "model": classifier.kind.value,
-        "doc_mode": tfidf.mode.value,
-        "dimension": tfidf.dim,
-        "word_vocab_size": len(tfidf.word_vocab),
-        "char_vocab_size": len(tfidf.char_vocab),
-    }
-
-
 def _featurize(config: RunConfig, dataset: Dataset, texts: list[str]) -> tuple[TfIdfModel, csr_matrix]:
     """Fit the configured doc mode's vectorizer and return it with the TF-IDF rows of texts."""
     mode = config.values["vectorize.doc_mode"]
@@ -293,6 +239,22 @@ def _featurize(config: RunConfig, dataset: Dataset, texts: list[str]) -> tuple[T
     return tfidf, transform_batch(tfidf, texts)
 
 
+def _manifest_lines(config: RunConfig, tfidf: TfIdfModel, model: LinearModel, n_train: int) -> list[str]:
+    """The manifest of a run, line by line: the only definition of its layout, which _load_artifacts enforces."""
+    return [
+        "manifest v1",
+        f"config_sha256={config.config_sha256}",
+        f"run.char_vocab_size={len(tfidf.char_vocab)}",
+        f"run.dimension={tfidf.dim}",
+        f"run.doc_mode={tfidf.mode.value}",
+        f"run.model={model.kind.value}",
+        f"run.n_train_tweets={n_train}",
+        f"run.seed={config.train.seed}",
+        f"run.word_vocab_size={len(tfidf.word_vocab)}",
+        *(f"config.{key}={config.resolved[key]}" for key in sorted(config.resolved)),
+    ]
+
+
 def _write_artifacts(
     config: RunConfig, tfidf: TfIdfModel, model: LinearModel, n_train: int, out_dir: str, tfidf_text: str | None = None
 ) -> None:
@@ -300,29 +262,42 @@ def _write_artifacts(
     os.makedirs(out_dir, exist_ok=True)
     save_tfidf(tfidf, os.path.join(out_dir, TFIDF_FILE), tfidf_text)
     save_model(model, os.path.join(out_dir, MODEL_FILE))
-    facts = {**_artifact_facts(tfidf, model), "seed": config.train.seed, "n_train_tweets": n_train}
-    lines = [MANIFEST_VERSION, f"config_sha256={config.config_sha256}"]
-    lines += [f"run.{key}={facts[key]}" for key in sorted(facts)]
-    lines += [f"config.{key}={config.resolved[key]}" for key in sorted(config.resolved)]
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(_manifest_lines(config, tfidf, model, n_train)) + "\n")
 
 
 def _load_artifacts(model_dir: str) -> tuple[TfIdfModel, LinearModel, RunConfig]:
+    """The saved vectorizer, model and run config. The manifest must be exactly the _manifest_lines of its own
+    config.* settings, these artifacts and its run.n_train_tweets; DataError quotes the first line that differs."""
     tfidf_path = os.path.join(model_dir, TFIDF_FILE)
     model_path = os.path.join(model_dir, MODEL_FILE)
+    manifest_path = os.path.join(model_dir, MANIFEST_FILE)
     _require_file(tfidf_path, "vectorizer artifact")
     _require_file(model_path, "model artifact")
     tfidf = load_tfidf(tfidf_path)
     classifier = load_model(model_path)
     if tfidf.dim != classifier.dim:
-        raise DataError(
-            f"vectorizer dimension {tfidf.dim} does not match model dimension {classifier.dim}"
-        )
-    facts, config = _read_manifest(model_dir)
-    for key, value in _artifact_facts(tfidf, classifier).items():
-        if facts.get(key) != str(value):
-            raise DataError(f"manifest run.{key}={facts.get(key)} does not match the artifacts ({value})")
+        raise DataError(f"vectorizer dimension {tfidf.dim} does not match model dimension {classifier.dim}")
+    _require_file(manifest_path, "manifest")
+    with open(manifest_path, encoding="utf-8", newline="") as handle:
+        lines = handle.read().removesuffix("\n").split("\n")
+    values = dict(line.partition("=")[::2] for line in reversed(lines))  # each key's value on its first line
+    settings: Settings = {}
+    for section, keys in _SCHEMA.items():
+        for key, (default, _parse, _help) in keys.items():
+            value = values.get(f"config.{section}.{key}")
+            # An empty value stands for an unset optional key, but is itself the value of any other.
+            if value is not None and (value or default):
+                settings[(section, key)] = value
+    config = _build_run_config(settings)
+    n_train = values.get("run.n_train_tweets", "")
+    if not n_train.isdecimal():
+        raise DataError(f"manifest run.n_train_tweets is {n_train!r}, not a tweet count: {manifest_path}")
+    expected = _manifest_lines(config, tfidf, classifier, int(n_train))
+    quoted = itertools.zip_longest(map(repr, lines), map(repr, expected), fillvalue="end of file")
+    for number, (found, line) in enumerate(quoted, start=1):
+        if found != line:
+            raise DataError(f"manifest line {number} is {found}, expected {line}: {manifest_path}")
     return tfidf, classifier, config
 
 

@@ -291,8 +291,8 @@ def format_tfidf(model: TfIdfModel) -> str:
 
 
 def parse_tfidf(text: str) -> TfIdfModel:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(FORMAT_VERSION + " "):
+    lines = text.removesuffix("\n").split("\n")  # not splitlines(): terms may hold "\x0b", "\x85", "\u2028", ...
+    if not lines[0].startswith(FORMAT_VERSION + " "):
         raise DataError("not a tfidf v1 file")
     fields = lines[0].split(" ")
     if len(fields) != 7:

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,10 @@ from codemix.models import LinearModel, ModelKind
 from codemix.vectorize import DocMode, load_tfidf
 
 import numpy as np
+
+
+DATA = Path(__file__).parent / "data"
+AUX_CSV = "text,label\nestupendo fantastico,positive\nfatal horrible,negative\nnormal dia,neutral\n"
 
 
 def write_corpus(path, dataset):
@@ -190,10 +195,7 @@ class TestTrain:
 
     def test_aux_csv_rows_are_appended(self, workspace, capsys):
         csv_path = workspace / "aux.csv"
-        csv_path.write_text(
-            "text,label\nestupendo fantastico,positive\nfatal horrible,negative\nnormal dia,neutral\n",
-            encoding="utf-8",
-        )
+        csv_path.write_text(AUX_CSV, encoding="utf-8")
         code, _, _ = run(
             ["train", "--config", workspace / "cfg.ini", "--data.aux_csv", csv_path], capsys
         )
@@ -201,16 +203,28 @@ class TestTrain:
         manifest = (workspace / "out" / "manifest.txt").read_text(encoding="utf-8")
         assert "run.n_train_tweets=93\n" in manifest
 
+    def test_padded_settings_train_as_unpadded(self, workspace, capsys):
+        (workspace / "aux.csv").write_text(AUX_CSV, encoding="utf-8")
+        base = ["train", "--config", workspace / "cfg.ini", "--data.aux_csv", workspace / "aux.csv"]
+        out_dir = workspace / "out"
+        artifacts = []
+        for pad in ("", " "):
+            flags = ["--train.model", f"{pad}mnb{pad}", "--vectorize.doc_mode", f"{pad}per_class_concatenated"]
+            code, _, err = run([*base, *flags, "--data.aux_label_column", f"label{pad}"], capsys)
+            assert code == 0, err
+            artifacts.append([(out_dir / name).read_bytes() for name in ("tfidf.txt", "model.txt", "manifest.txt")])
+        assert artifacts[0] == artifacts[1]
+
 
 # An appended manifest line -> the error it must raise.
 MANIFEST_LINE_REFUSALS = {
-    "config.train.momentum=0.9": "unknown manifest key config.train.momentum ",
-    "config.cache.dir=x": "unknown manifest key config.cache.dir ",
-    "config.train=": "unknown manifest key config.train ",
-    "run.bogus=1": "unknown manifest key run.bogus ",
-    "garbage": "unknown manifest key garbage ",
-    "configx.train.seed=3": "unknown manifest key configx.train.seed ",
-    "run.seed=99": "duplicate manifest key run.seed ",
+    "config.train.momentum=0.9": "manifest line 37 is 'config.train.momentum=0.9', expected end of file: ",
+    "config.cache.dir=x": "manifest line 37 is 'config.cache.dir=x', expected end of file: ",
+    "config.train=": "manifest line 37 is 'config.train=', expected end of file: ",
+    "run.bogus=1": "manifest line 37 is 'run.bogus=1', expected end of file: ",
+    "garbage": "manifest line 37 is 'garbage', expected end of file: ",
+    "configx.train.seed=3": "manifest line 37 is 'configx.train.seed=3', expected end of file: ",
+    "run.seed=99": "manifest line 37 is 'run.seed=99', expected end of file: ",
 }
 
 
@@ -288,6 +302,56 @@ class TestEvalCommand:
         code, _, err = run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)
         assert code == 3
         assert "config_sha256" in err
+
+    @pytest.mark.parametrize(
+        "line, tampered, message",
+        [
+            # a repeated key is refused where it repeats, not by the config hash its second value would give
+            (
+                "word_ngram_min=1\n",
+                "word_ngram_min=1\nconfig.train.seed=3\n",
+                "line 37 is 'config.train.seed=3', expected end of file",
+            ),
+            ("run.n_train_tweets=90\n", "run.n_train_tweets=abc\n", "run.n_train_tweets is 'abc', not a tweet count"),
+            ("manifest v1\n", "manifest v1\r\n", "line 1 is 'manifest v1\\r', expected 'manifest v1'"),
+        ],
+    )
+    def test_manifest_refusal_names_the_line(self, workspace, capsys, line, tampered, message):
+        assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
+        manifest = workspace / "out" / "manifest.txt"
+        text = manifest.read_bytes().decode("utf-8")
+        assert text.count(line) == 1
+        manifest.write_bytes(text.replace(line, tampered).encode("utf-8"))
+        code, _, err = run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)
+        assert code == 3
+        assert err.startswith(f"data error: manifest {message}")
+
+    def test_manifest_value_that_does_not_parse_is_config_error(self, workspace, capsys):
+        assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
+        manifest = workspace / "out" / "manifest.txt"
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace("epochs=50\n", "epochs=x\n"), encoding="utf-8")
+        code, _, err = run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)
+        assert (code, err) == (2, "config error: invalid value 'x' for train.epochs\n")
+
+    @pytest.mark.parametrize("line", GOLDEN_DEFAULT_MANIFEST.splitlines())
+    def test_manifest_missing_a_line_is_data_error(self, workspace, capsys, monkeypatch, line):
+        monkeypatch.chdir(workspace)
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        assert run(["train", "--data.train", "train.txt"], capsys)[0] == 0
+        manifest = workspace / "out" / "manifest.txt"
+        assert manifest.read_text(encoding="utf-8") == GOLDEN_DEFAULT_MANIFEST
+        lines = GOLDEN_DEFAULT_MANIFEST.splitlines(keepends=True)
+        lines.remove(line + "\n")
+        manifest.write_text("".join(lines), encoding="utf-8")
+        code, _, err = run(["eval", "--model-dir", "out", "--data", "dev.txt"], capsys)
+        assert code == 3
+        assert err.startswith("data error: manifest")
+
+    @pytest.mark.parametrize("kind", ["mnb", "svm"])
+    def test_dir_written_by_the_first_release_evaluates_as_it_did(self, capsys, kind):
+        code, out, err = run(["eval", "--model-dir", DATA / f"seed_{kind}", "--data", DATA / "seed_dev.txt"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"seed_{kind}.eval.txt").read_text(encoding="utf-8")
 
     def test_empty_value_of_a_key_with_a_default_keeps_the_hash(self, workspace, capsys):
         args = ["train", "--config", workspace / "cfg.ini", "--data.aux_label_column", ""]

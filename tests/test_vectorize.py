@@ -327,7 +327,8 @@ class TestPersistence:
         assert self.roundtrip(model) == model
 
     def test_round_trip_with_awkward_terms(self):
-        docs = ["tab\there", "back\\slash", "new line ok"]
+        # every separator str.splitlines() breaks at, besides the escaped \n and \r
+        docs = ["tab\there", "back\\slash", "new line ok", "v\x0bf\x0cfs\x1cgs\x1drs\x1enel\x85ls\u2028ps\u2029"]
         model = fit_tfidf(docs, DocMode.ALL_DOCUMENTS, WORD, Analyzer(AnalyzerKind.CHAR, 2, 4))
         restored = self.roundtrip(model)
         assert restored == model
