@@ -3,8 +3,8 @@
 Configuration is a flat ``key = value`` file with one section per module
 (see _SCHEMA); every setting can also be passed as ``--section.key value``,
 which overrides the file.  The environment variable CODEMIX_SEED overrides
-the configured seed.  Exit codes: 0 success, 2 config error, 3 data error or an
-OSError (an unreadable input or unwritable output.dir), 4 numeric failure.
+the configured seed.  Exit codes: 0 success, 2 config error, 3 data error, a
+non-UTF-8 input or an OSError (unreadable input, unwritable output.dir), 4 numeric failure.
 """
 
 import argparse
@@ -454,6 +454,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 4
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
+    except UnicodeDecodeError as exc:
+        print(f"data error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 3
 
 

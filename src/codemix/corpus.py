@@ -15,6 +15,7 @@ import enum
 import io
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -148,32 +149,17 @@ def parse_conll(source: str | Iterable[str], name: str = "dataset") -> Dataset:
     # Split on \n only: str.splitlines() also breaks on codepoints like
     # \x0b that are legal inside token text.
     lines = source.split("\n") if isinstance(source, str) else source
+    numbered = enumerate((raw.rstrip("\r\n") for raw in lines), start=1)
     tweets: list[Tweet] = []
-    meta: tuple[int, str, Sentiment | None] | None = None
-    tokens: list[Token] = []
-
-    def finish_block() -> None:
-        nonlocal meta, tokens
-        assert meta is not None
-        meta_line, tweet_id, sentiment = meta
+    for blank, block in groupby(numbered, key=lambda item: not item[1].strip()):
+        if blank:
+            continue
+        (meta_line, meta), *token_lines = block
+        tweet_id, sentiment = _parse_meta(meta, meta_line)
+        tokens = tuple(_parse_token_line(line, line_no) for line_no, line in token_lines)
         if not tokens:
             raise ParseError(f"tweet {tweet_id!r} has no token lines", line=meta_line)
-        tweets.append(Tweet(id=tweet_id, tokens=tuple(tokens), sentiment=sentiment))
-        meta, tokens = None, []
-
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            if meta is not None:
-                finish_block()
-            continue
-        if meta is None:
-            tweet_id, sentiment = _parse_meta(line, line_no)
-            meta, tokens = (line_no, tweet_id, sentiment), []
-        else:
-            tokens.append(_parse_token_line(line, line_no))
-    if meta is not None:
-        finish_block()
+        tweets.append(Tweet(id=tweet_id, tokens=tokens, sentiment=sentiment))
     return Dataset(name=name, tweets=tuple(tweets))
 
 

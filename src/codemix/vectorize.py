@@ -87,25 +87,28 @@ DEFAULT_CHAR_ANALYZER = Analyzer(AnalyzerKind.CHAR, 2, 5)
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Term -> dense feature index plus document frequencies, both keyed by
-    the same terms in the same order."""
+    """Terms and document frequencies by feature index: feature i is terms[i],
+    seen in document_frequency[i] of the n_documents fitted documents.  A fit
+    numbers terms in lexicographic order; a parsed file keeps its indices."""
 
-    term_index: dict[str, int]
-    document_frequency: dict[str, int]
+    terms: tuple[str, ...]
+    document_frequency: tuple[int, ...]
     n_documents: int
 
     def __len__(self) -> int:
-        return len(self.term_index)
+        return len(self.terms)
+
+    @cached_property
+    def term_index(self) -> dict[str, int]:
+        """Term -> feature index, built on the first lookup (transform)."""
+        return dict(zip(self.terms, range(len(self))))
 
     @cached_property
     def idf(self) -> np.ndarray:
         """Smoothed idf by feature index, via math.log (so weights do not depend on the
         numpy build) once per distinct df; np.unique's temporaries raised peak RSS."""
-        by_df = {df: math.log((1 + self.n_documents) / (1 + df)) + 1.0 for df in set(self.document_frequency.values())}
-        idf = np.empty(len(self))
-        indices = np.fromiter(self.term_index.values(), np.int64, len(self))
-        idf[indices] = np.fromiter(map(by_df.__getitem__, self.document_frequency.values()), np.float64, len(self))
-        return idf
+        by_df = {df: math.log((1 + self.n_documents) / (1 + df)) + 1.0 for df in set(self.document_frequency)}
+        return np.fromiter(map(by_df.__getitem__, self.document_frequency), np.float64, len(self))
 
 
 @dataclass(frozen=True)
@@ -183,11 +186,7 @@ def count_terms(
     counts.sum_duplicates()  # sorts each row by column and adds up the 1.0 of each occurrence
     if fitting:
         df = np.bincount(counts.indices, minlength=len(terms))
-        vocab = Vocabulary(
-            term_index=dict(zip(terms, range(len(terms)))),
-            document_frequency=dict(zip(terms, df.tolist())),
-            n_documents=shape[0],
-        )
+        vocab = Vocabulary(tuple(terms), tuple(df.tolist()), shape[0])
     return vocab, counts
 
 
@@ -285,8 +284,8 @@ def format_tfidf(model: TfIdfModel) -> str:
         f" {model.word_vocab.n_documents} {model.char_vocab.n_documents}"
     ]
     for block, vocab in (("w", model.word_vocab), ("c", model.char_vocab)):
-        for term, index in sorted(vocab.term_index.items(), key=lambda item: item[1]):
-            lines.append(f"{block}\t{_escape_term(term)}\t{index}\t{vocab.document_frequency[term]}")
+        for index, (term, df) in enumerate(zip(vocab.terms, vocab.document_frequency)):
+            lines.append(f"{block}\t{_escape_term(term)}\t{index}\t{df}")
     return "\n".join(lines) + "\n"
 
 
@@ -310,31 +309,31 @@ def parse_tfidf(text: str) -> TfIdfModel:
     if any(n < 1 for n in n_docs.values()):
         raise DataError("tfidf document counts must be >= 1")
 
-    term_index: dict[str, dict[str, int]] = {"w": {}, "c": {}}
-    doc_freq: dict[str, dict[str, int]] = {"w": {}, "c": {}}
+    columns: dict[str, tuple[list, list, list]] = {"w": ([], [], []), "c": ([], [], [])}  # index, term, df
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
-        if len(parts) != 4 or parts[0] not in ("w", "c"):
+        if len(parts) != 4 or parts[0] not in columns:
             raise DataError(f"malformed tfidf term line {line_no}")
-        block, escaped, index, df = parts
-        term = _unescape_term(escaped)
+        indices, terms, dfs = columns[parts[0]]
         try:
-            term_index[block][term] = int(index)
-            doc_freq[block][term] = int(df)
+            indices.append(int(parts[2]))
+            dfs.append(int(parts[3]))
         except ValueError:
             raise DataError(f"malformed tfidf term line {line_no}") from None
+        terms.append(_unescape_term(parts[1]))
+    del lines  # free the term lines (~30 MB at 393k terms) before build sorts the columns
 
     def build(block: str) -> Vocabulary:
-        indices = sorted(term_index[block].values())
-        if indices != list(range(len(indices))):
+        indices, terms, dfs = columns[block]
+        order = sorted(range(len(indices)), key=indices.__getitem__)  # term lines may come in any order
+        if [indices[i] for i in order] != list(range(len(order))):
             raise DataError(f"tfidf {block} block indices are not a dense 0-based range")
-        if any(not (1 <= df <= n_docs[block]) for df in doc_freq[block].values()):
+        terms, dfs = tuple(map(terms.__getitem__, order)), tuple(map(dfs.__getitem__, order))
+        if len(set(terms)) != len(terms):
+            raise DataError(f"tfidf {block} block repeats a term")
+        if any(not (1 <= df <= n_docs[block]) for df in dfs):
             raise DataError(f"tfidf {block} block has document frequencies outside [1, n_documents]")
-        return Vocabulary(
-            term_index=term_index[block],
-            document_frequency=doc_freq[block],
-            n_documents=n_docs[block],
-        )
+        return Vocabulary(terms, dfs, n_docs[block])
 
     return TfIdfModel(
         word_vocab=build("w"),

@@ -88,7 +88,7 @@ def row_to_dense(matrix, row):
 
 
 def frozen_idf(vocab, term):
-    return math.log((1 + vocab.n_documents) / (1 + vocab.document_frequency[term])) + 1.0
+    return math.log((1 + vocab.n_documents) / (1 + vocab.document_frequency[vocab.term_index[term]])) + 1.0
 
 
 def frozen_accumulate(entries, vocab, terms, offset):
@@ -101,8 +101,9 @@ def frozen_accumulate(entries, vocab, terms, offset):
 def frozen_transform(model, text):
     """(indices, weights) of one text's TF-IDF vector, computed per vector.
 
-    ``model`` needs word_vocab/char_vocab (term_index, document_frequency,
-    n_documents) and word_analyzer/char_analyzer (ngram_min, ngram_max).
+    ``model`` needs word_vocab/char_vocab (term_index: term -> feature index,
+    document_frequency by feature index, n_documents) and
+    word_analyzer/char_analyzer (ngram_min, ngram_max).
     """
     entries = {}
     word, char = model.word_analyzer, model.char_analyzer

@@ -569,7 +569,35 @@ ADVERSARIAL_INPUTS = [
 ]
 
 
+# (command, file that gets a non-UTF-8 byte appended): each run exits 3 with one data error line.
+NON_UTF8_INPUTS = [
+    ("train", "train.txt"),
+    ("train", "cfg.ini"),
+    ("grid", "lexicon.tsv"),
+    ("eval", "dev.txt"),
+    ("eval", "out/manifest.txt"),
+    ("eval", "out/tfidf.txt"),
+    ("eval", "out/model.txt"),
+]
+
+
 class TestRobustness:
+    @pytest.mark.parametrize("command, name", NON_UTF8_INPUTS)
+    def test_non_utf8_input_is_data_error(self, workspace, capsys, command, name):
+        (workspace / "lexicon.tsv").write_text(":)\tsmiley\n", encoding="utf-8")
+        if command == "eval":
+            assert run(["train", "--config", workspace / "cfg.ini", "--train.epochs", "1"], capsys)[0] == 0
+            args = ["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"]
+        else:
+            args = [command, "--config", workspace / "cfg.ini", "--data.lexicon", workspace / "lexicon.tsv"]
+        with open(workspace / name, "ab") as handle:
+            handle.write(b"\xff")
+        files = {path: path.read_bytes() for path in workspace.rglob("*") if path.is_file()}
+        code, out, err = run(args, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("data error: input is not UTF-8 text: ") and err.count("\n") == 1, err
+        assert {path: path.read_bytes() for path in workspace.rglob("*") if path.is_file()} == files
+
     @pytest.mark.parametrize("content", ADVERSARIAL_INPUTS)
     def test_adversarial_blocks_give_structured_errors(self, tmp_path, capsys, content):
         data = tmp_path / "fuzz.txt"

@@ -77,15 +77,15 @@ def fit_vocabulary(docs, analyzer):
 class TestFitVocabulary:
     def test_two_docs(self):
         vocab, counts = count_terms(["a b", "b c"], WORD)
-        assert vocab.term_index == {"a": 0, "b": 1, "c": 2}
-        assert vocab.document_frequency == {"a": 1, "b": 2, "c": 1}
+        assert vocab.terms == ("a", "b", "c")
+        assert vocab.document_frequency == (1, 2, 1)
         assert vocab.n_documents == 2
         assert counts.toarray().tolist() == [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]
 
     def test_char_single_doc(self):
         vocab = fit_vocabulary(["ab"], CHAR2)
-        assert vocab.term_index == {"ab": 0}
-        assert vocab.document_frequency == {"ab": 1}
+        assert vocab.terms == ("ab",)
+        assert vocab.document_frequency == (1,)
 
     def test_empty_docs_rejected(self):
         with pytest.raises(DataError):
@@ -93,18 +93,19 @@ class TestFitVocabulary:
 
     def test_df_counted_once_per_document(self):
         vocab, counts = count_terms(["cat cat cat", "cat"], WORD)
-        assert vocab.document_frequency["cat"] == 2
+        assert vocab.document_frequency[vocab.term_index["cat"]] == 2
         assert counts.toarray().tolist() == [[3.0], [1.0]]
 
     def test_df_matches_counting_oracle(self):
         vocab = fit_vocabulary(TOY_DOCS, WORD)
-        assert vocab.document_frequency == oracles.document_frequencies(TOY_DOCS, oracles.word_terms, 1, 1)
+        df = oracles.document_frequencies(TOY_DOCS, oracles.word_terms, 1, 1)
+        assert dict(zip(vocab.terms, vocab.document_frequency)) == df
 
     def test_indices_are_lexicographic_bijection(self):
         vocab = fit_vocabulary(TOY_DOCS, WORD)
         terms = sorted(vocab.term_index)
         assert [vocab.term_index[t] for t in terms] == list(range(len(terms)))
-        assert all(1 <= df <= vocab.n_documents for df in vocab.document_frequency.values())
+        assert all(1 <= df <= vocab.n_documents for df in vocab.document_frequency)
 
     def test_fit_is_deterministic(self):
         a = fit_vocabulary(TOY_DOCS, WORD)
@@ -276,8 +277,8 @@ class TestMatchesFrozenPerVectorPath:
             (oracles.char_terms, char, model.char_vocab),
         ):
             df = oracles.document_frequencies(docs, extractor, analyzer.ngram_min, analyzer.ngram_max)
-            assert vocab.document_frequency == df
-            assert vocab.term_index == {term: index for index, term in enumerate(sorted(df))}
+            assert vocab.terms == tuple(sorted(df))
+            assert vocab.document_frequency == tuple(map(df.__getitem__, vocab.terms))
         assert_rows_match_frozen_path(model, transform_batch(model, texts + queries), texts + queries)
 
 
@@ -298,11 +299,10 @@ class TestIdf:
         seed=st.integers(0, 1000),
     )
     def test_equals_per_term_log_on_random_vocabularies(self, dfs, extra_documents, seed):
-        terms = [f"t{i}" for i in range(len(dfs))]
-        indices = random.Random(seed).sample(range(len(dfs)), len(dfs))  # features in any order
+        order = random.Random(seed).sample(range(len(dfs)), len(dfs))  # terms in any feature order
         vocab = Vocabulary(
-            term_index=dict(zip(terms, indices)),
-            document_frequency=dict(zip(terms, dfs)),
+            terms=tuple(f"t{i}" for i in order),
+            document_frequency=tuple(dfs),
             n_documents=max(dfs, default=1) + extra_documents,
         )
         assert np.array_equal(vocab.idf, frozen_idf_array(vocab))
@@ -357,6 +357,9 @@ class TestPersistence:
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t1\t1\n",  # sparse index range
             "tfidf v1 all_documents 1-1 2-5 3 3\nq\tterm\t0\t1\n",  # bad block
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\\\t0\t1\n",  # trailing lone backslash
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t1\nw\tterm\t0\t1\n",  # same term line twice
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t1\nw\tterm\t1\t1\n",  # one term at two indices
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t1\nw\tother\t0\t1\n",  # two terms at one index
         ],
     )
     def test_malformed_files_rejected(self, text):
