@@ -50,16 +50,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ConfigError("l2_lambda must be >= 0")
-        if self.learning_rate is not None and self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
+        if not 0 <= self.l2_lambda < math.inf:
+            raise ConfigError("l2_lambda must be finite and >= 0")
+        if self.learning_rate is not None and not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and > 0")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.mnb_alpha <= 0:
-            raise ConfigError("mnb_alpha must be > 0")
+        if not 0 < self.mnb_alpha < math.inf:
+            raise ConfigError("mnb_alpha must be finite and > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @property
     def resolved_learning_rate(self) -> float:
@@ -257,39 +259,33 @@ def format_model(model: LinearModel) -> str:
 
 
 def parse_model(text: str) -> LinearModel:
-    lines = [line for line in text.splitlines() if line]
-    if not lines or not lines[0].startswith(FORMAT_VERSION + " "):
+    """The model format_model wrote as text.  Only that layout loads: a header equal to the one
+    the parsed model is written with, then one line of finite parameters per class, all ending
+    in "\n" (the last may lack it).  No blank line is skipped and "\r\n" is refused."""
+    lines = text.removesuffix("\n").split("\n")
+    if not lines[0].startswith(FORMAT_VERSION + " "):
         raise DataError("not a model v1 file")
-    fields = lines[0].split(" ")
-    if len(fields) < 4 or len(lines) != 1 + N_CLASSES:
+    if len(lines) != 1 + N_CLASSES:
         raise DataError("malformed model file")
+    fields = lines[0].split(" ")
     try:
         kind = ModelKind.from_value(fields[2])
     except ConfigError as exc:
         raise DataError(str(exc)) from None
     try:
-        dim = int(fields[3])
-        rows = [np.asarray([float(value) for value in line.split(" ")]) for line in lines[1:]]
+        alpha = float(fields[-1]) if kind is ModelKind.MNB else None
+        params = np.vstack([np.fromiter(map(float, line.split(" ")), np.float64) for line in lines[1:]])
     except ValueError:
-        raise DataError("malformed model parameter line") from None
-    if any(row.shape != (dim + 1,) for row in rows):
-        raise DataError("model parameter lines do not match the stated dimension")
-    params = np.vstack(rows)
+        raise DataError("malformed model header or parameter line") from None
     if not np.all(np.isfinite(params)):
         raise DataError("model file contains non-finite parameters")
-    if kind is ModelKind.MNB:
-        if len(fields) != 5:
-            raise DataError("mnb model header must carry the smoothing alpha")
-        try:
-            alpha = float(fields[4])
-        except ValueError:
-            raise DataError(f"malformed mnb alpha {fields[4]!r}") from None
-        if not (alpha > 0 and math.isfinite(alpha)):
-            raise DataError(f"mnb alpha must be positive and finite, got {alpha}")
-        return LinearModel(kind=kind, weights=params[:, 1:].copy(), bias=params[:, 0].copy(), alpha=alpha)
-    if len(fields) != 4:
+    if alpha is not None and not 0 < alpha < math.inf:
+        raise DataError(f"mnb alpha must be positive and finite, got {alpha}")
+    bias_column = 0 if kind is ModelKind.MNB else -1
+    model = LinearModel(kind, np.delete(params, bias_column, axis=1), params[:, bias_column].copy(), alpha)
+    if next(_model_lines(model)) != lines[0]:
         raise DataError(f"malformed model header {lines[0]!r}")
-    return LinearModel(kind=kind, weights=params[:, :-1].copy(), bias=params[:, -1].copy())
+    return model
 
 
 def save_model(model: LinearModel, path: str) -> None:

@@ -18,6 +18,7 @@ from .errors import ConfigError
 
 _LEXICON_RESOURCE = "data/emoticons.tsv"
 _default_lexicon_cache = None
+_MAX_RUN = 4294967295  # re compiles a repeat count {n,} only up to this minus 1
 
 
 def _squash(text: str) -> str:
@@ -39,7 +40,8 @@ class EmojiLexicon:
         # range, cheaply skips the positions no key can start at.
         keys = sorted(self._entries, key=len, reverse=True)
         starts = "".join(re.escape(key[0]) for key in keys if key[0].isascii())
-        self.pattern = re.compile(rf"(?=[{starts}\x80-\U0010FFFF])(?:{'|'.join(map(re.escape, keys))})")
+        alternatives = "|".join(map(re.escape, keys)) or "(?!)"  # an empty lexicon matches nothing
+        self.pattern = re.compile(rf"(?=[{starts}\x80-\U0010FFFF])(?:{alternatives})")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -88,8 +90,8 @@ class PipelineConfig:
     elongation_min_run: int = 3
 
     def __post_init__(self):
-        if self.elongation_min_run < 2:
-            raise ConfigError("elongation_min_run must be >= 2")
+        if not 2 <= self.elongation_min_run <= _MAX_RUN:
+            raise ConfigError(f"elongation_min_run must be between 2 and {_MAX_RUN}")
 
     @classmethod
     def identity(cls) -> "PipelineConfig":
@@ -147,8 +149,8 @@ def collapse_elongation(text: str, min_run: int = 3) -> str:
     Runs are matched case-insensitively and keep the first letter's case;
     digits and punctuation are never collapsed.
     """
-    if min_run < 2:
-        raise ConfigError("min_run must be >= 2")
+    if not 2 <= min_run <= _MAX_RUN:
+        raise ConfigError(f"min_run must be between 2 and {_MAX_RUN}")
 
     def collapse(match: re.Match) -> str:
         # The regex's case folding is coarser than str.lower() ("İ" matches "i"),

@@ -247,42 +247,31 @@ def _escape_term(term: str) -> str:
     )
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
 def _unescape_term(escaped: str) -> str:
-    if "\\" not in escaped:  # almost every term: skip the per-character loop
+    """The term _escape_term wrote as escaped; DataError for any field it cannot have written."""
+    if "\\" not in escaped and "\r" not in escaped:  # almost every term
         return escaped
-    out = []
-    chars = iter(escaped)
-    for ch in chars:
-        if ch != "\\":
-            out.append(ch)
-            continue
-        escape = next(chars, None)
-        mapped = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}.get(escape or "")
-        if mapped is None:
-            raise DataError(f"invalid escape sequence in term {escaped!r}")
-        out.append(mapped)
-    return "".join(out)
+    term = re.sub(r"\\(.)", lambda match: _UNESCAPES.get(match[1], match[0]), escaped)
+    if _escape_term(term) != escaped:
+        raise DataError(f"term field {escaped!r} is not a term as _escape_term writes it")
+    return term
 
 
-def _format_ngrams(analyzer: Analyzer) -> str:
-    return f"{analyzer.ngram_min}-{analyzer.ngram_max}"
-
-
-def _parse_ngrams(field: str, kind: AnalyzerKind) -> Analyzer:
-    try:
-        low, high = field.split("-", 1)
-        return Analyzer(kind, int(low), int(high))
-    except (ValueError, ConfigError):
-        raise DataError(f"invalid n-gram range field {field!r}") from None
+def _tfidf_header(model: TfIdfModel) -> str:
+    """The first line format_tfidf writes; parse_tfidf refuses a file whose header differs."""
+    word, char = model.word_analyzer, model.char_analyzer
+    return (
+        f"{FORMAT_VERSION} {model.mode.value} {word.ngram_min}-{word.ngram_max} {char.ngram_min}-{char.ngram_max}"
+        f" {model.word_vocab.n_documents} {model.char_vocab.n_documents}"
+    )
 
 
 def format_tfidf(model: TfIdfModel) -> str:
     """Versioned text serialization; load_tfidf/parse_tfidf invert it."""
-    lines = [
-        f"{FORMAT_VERSION} {model.mode.value} {_format_ngrams(model.word_analyzer)}"
-        f" {_format_ngrams(model.char_analyzer)}"
-        f" {model.word_vocab.n_documents} {model.char_vocab.n_documents}"
-    ]
+    lines = [_tfidf_header(model)]
     for block, vocab in (("w", model.word_vocab), ("c", model.char_vocab)):
         for index, (term, df) in enumerate(zip(vocab.terms, vocab.document_frequency)):
             lines.append(f"{block}\t{_escape_term(term)}\t{index}\t{df}")
@@ -290,58 +279,57 @@ def format_tfidf(model: TfIdfModel) -> str:
 
 
 def parse_tfidf(text: str) -> TfIdfModel:
+    """The model format_tfidf wrote as text, read in one pass.  Only that layout loads: "\n"
+    line ends (the last may be missing), the header format_tfidf writes for the parsed model,
+    then the word block's term lines and the char block's, each in index order, with decimal
+    indices and dfs as str() writes them.  Nothing is repaired: anything else is a DataError."""
     lines = text.removesuffix("\n").split("\n")  # not splitlines(): terms may hold "\x0b", "\x85", "\u2028", ...
-    if not lines[0].startswith(FORMAT_VERSION + " "):
+    header = lines[0]
+    if not header.startswith(FORMAT_VERSION + " "):
         raise DataError("not a tfidf v1 file")
-    fields = lines[0].split(" ")
-    if len(fields) != 7:
-        raise DataError(f"malformed tfidf header {lines[0]!r}")
     try:
-        mode = DocMode(fields[2])
+        _, _, mode_value, word_range, char_range, n_word, n_char = header.split(" ")
+        mode = DocMode.from_value(mode_value)
+        word_analyzer = Analyzer(AnalyzerKind.WORD, *map(int, word_range.split("-", 1)))
+        char_analyzer = Analyzer(AnalyzerKind.CHAR, *map(int, char_range.split("-", 1)))
+        n_docs = {"w": int(n_word), "c": int(n_char)}
     except ValueError:
-        raise DataError(f"unknown doc mode {fields[2]!r}") from None
-    word_analyzer = _parse_ngrams(fields[3], AnalyzerKind.WORD)
-    char_analyzer = _parse_ngrams(fields[4], AnalyzerKind.CHAR)
-    try:
-        n_docs = {"w": int(fields[5]), "c": int(fields[6])}
-    except ValueError:
-        raise DataError(f"malformed tfidf header {lines[0]!r}") from None
+        raise DataError(f"malformed tfidf header {header!r}") from None
+    except ConfigError as exc:  # an unknown doc mode or an n-gram range out of bounds
+        raise DataError(str(exc)) from None
     if any(n < 1 for n in n_docs.values()):
         raise DataError("tfidf document counts must be >= 1")
 
-    columns: dict[str, tuple[list, list, list]] = {"w": ([], [], []), "c": ([], [], [])}  # index, term, df
+    columns: dict[str, tuple[list[str], list[int]]] = {"w": ([], []), "c": ([], [])}  # terms, dfs
+    char_terms = columns["c"][0]
     for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split("\t")
-        if len(parts) != 4 or parts[0] not in columns:
-            raise DataError(f"malformed tfidf term line {line_no}")
-        indices, terms, dfs = columns[parts[0]]
         try:
-            indices.append(int(parts[2]))
-            dfs.append(int(parts[3]))
-        except ValueError:
+            block, escaped, index, df_text = line.split("\t")
+            terms, dfs = columns[block]
+            df = int(df_text)
+        except (ValueError, KeyError):
             raise DataError(f"malformed tfidf term line {line_no}") from None
-        terms.append(_unescape_term(parts[1]))
-    del lines  # free the term lines (~30 MB at 393k terms) before build sorts the columns
+        if block == "w" and char_terms:
+            raise DataError(f"tfidf term line {line_no} is a word term after the char block")
+        if index != str(len(terms)):
+            raise DataError(f"tfidf term line {line_no} is not at index {len(terms)} of its block")
+        if str(df) != df_text or not 1 <= df <= n_docs[block]:
+            raise DataError(f"tfidf term line {line_no} has df {df_text!r}, not a count in [1, {n_docs[block]}]")
+        terms.append(_unescape_term(escaped))
+        dfs.append(df)
+    del lines  # free the term lines (~30 MB at 393k terms) before the term indices are built
 
     def build(block: str) -> Vocabulary:
-        indices, terms, dfs = columns[block]
-        order = sorted(range(len(indices)), key=indices.__getitem__)  # term lines may come in any order
-        if [indices[i] for i in order] != list(range(len(order))):
-            raise DataError(f"tfidf {block} block indices are not a dense 0-based range")
-        terms, dfs = tuple(map(terms.__getitem__, order)), tuple(map(dfs.__getitem__, order))
-        if len(set(terms)) != len(terms):
+        terms, dfs = columns[block]
+        vocab = Vocabulary(tuple(terms), tuple(dfs), n_docs[block])
+        if len(vocab.term_index) != len(vocab):  # transform builds term_index anyway
             raise DataError(f"tfidf {block} block repeats a term")
-        if any(not (1 <= df <= n_docs[block]) for df in dfs):
-            raise DataError(f"tfidf {block} block has document frequencies outside [1, n_documents]")
-        return Vocabulary(terms, dfs, n_docs[block])
+        return vocab
 
-    return TfIdfModel(
-        word_vocab=build("w"),
-        char_vocab=build("c"),
-        word_analyzer=word_analyzer,
-        char_analyzer=char_analyzer,
-        mode=mode,
-    )
+    model = TfIdfModel(build("w"), build("c"), word_analyzer, char_analyzer, mode)
+    if _tfidf_header(model) != header:
+        raise DataError(f"malformed tfidf header {header!r}")
+    return model
 
 
 def save_tfidf(model: TfIdfModel, path: str, text: str | None = None) -> None:

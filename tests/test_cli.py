@@ -107,6 +107,20 @@ BAD_SETTINGS = [
         "analyzer n-gram range must satisfy 1 <= min <= max <= 8",
     ),
     ("train", ["--preprocess.replace_emoji", "maybe"], "invalid value 'maybe' for preprocess.replace_emoji"),
+    ("train", ["--train.model", "mnb", "--train.mnb_alpha", "nan"], "mnb_alpha must be finite and > 0"),
+    ("train", ["--train.model", "mnb", "--train.mnb_alpha", "inf"], "mnb_alpha must be finite and > 0"),
+    ("train", ["--train.l2_lambda", "nan"], "l2_lambda must be finite and >= 0"),
+    ("train", ["--train.l2_lambda", "inf"], "l2_lambda must be finite and >= 0"),
+    ("train", ["--train.learning_rate", "nan"], "learning_rate must be finite and > 0"),
+    ("train", ["--train.learning_rate", "inf"], "learning_rate must be finite and > 0"),
+    ("train", ["--train.model", "lr", "--train.seed", "-1"], "seed must be >= 0"),
+    ("train", ["--train.model", "svm", "--train.seed", "-1"], "seed must be >= 0"),
+    ("train", ["--train.model", "mnb", "--train.seed", "-1"], "seed must be >= 0"),
+    (
+        "train",
+        ["--preprocess.elongation_min_run", "5000000000"],
+        "elongation_min_run must be between 2 and 4294967295",
+    ),
 ]
 
 
@@ -468,6 +482,16 @@ class TestPreprocessCommand:
         )
         assert code == 2
         assert "config error" in err
+
+    def test_comment_only_lexicon_replaces_nothing(self, tmp_path, capsys):
+        lex = tmp_path / "lex.tsv"
+        lex.write_text("# no entries\n", encoding="utf-8")
+        tokens = tuple(Token(w, LangTag.LANG1) for w in "mañana 😀 :) <3 hola".split())
+        write_corpus(tmp_path / "one.txt", Dataset("one", (Tweet("1", tokens),)))
+        args = ["preprocess", "--data", tmp_path / "one.txt"]
+        code, out, err = run([*args, "--data.lexicon", lex], capsys)
+        assert (code, err) == (0, "")
+        assert out == run([*args, "--preprocess.replace_emoji", "false"], capsys)[1] == "maana :) <3 hola\n"
 
 
 class TestGridCommand:

@@ -489,6 +489,13 @@ class TestPersistence:
             "model v1 lr 3\n" + "0 0 0\n" * 3,  # wrong row width
             "model v1 mnb 2\n" + "0 0 0\n" * 3,  # mnb without alpha
             "model v1 lr 2\n0 0 inf\n0 0 0\n0 0 0\n",  # non-finite
+            "model v1 lr 2\r\n" + "0 0 0\r\n" * 3,  # CRLF line ends
+            "model v1 lr 2\n\n" + "0 0 0\n\n" * 3,  # a blank line after every line
+            "model v1 lr 02\n" + "0 0 0\n" * 3,  # dim with a leading zero
+            "model v1 lr 2 1\n" + "0 0 0\n" * 3,  # alpha in an lr header
+            "model v1 mnb 2 1.0\n" + "0 0 0\n" * 3,  # alpha not as %.17g writes it
+            "model v1 mnb 2 nan\n" + "0 0 0\n" * 3,  # non-finite alpha
+            "model v1 mnb 2 0\n" + "0 0 0\n" * 3,  # zero alpha
         ],
     )
     def test_malformed_files_rejected(self, text):

@@ -255,7 +255,7 @@ mixed_texts = st.lists(
 lexicons = st.dictionaries(
     keys=st.text(alphabet=st.sampled_from(TRICKY + list(":-(<3,o❤😀é ")), min_size=1, max_size=4),
     values=st.text(alphabet=st.sampled_from(list("abz _")), min_size=1, max_size=6),
-    min_size=1,
+    min_size=0,
     max_size=12,
 )
 
@@ -270,6 +270,7 @@ class TestMatchesFrozenRules:
     @given(text=mixed_texts, entries=lexicons)
     @example(text="aab ab b", entries={"a": "x", "ab": "y", "b ": "z"})
     @example(text="İi ii", entries={"i": "dot", "İ": "cap"})
+    @example(text="ñ 😀 :) x", entries={})
     def test_replace_emoji_random_lexicon(self, text, entries):
         assert replace_emoji(text, EmojiLexicon(entries)) == oracles.frozen_replace_emoji(text, entries)
 

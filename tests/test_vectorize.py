@@ -289,6 +289,17 @@ def frozen_idf_array(vocab):
     return idf
 
 
+def idf_model():
+    docs = [f"{a} {b} hola amigo" for a in ("que", "the", "la") for b in ("tal", "cat", "ok", "dog")]
+    return fit_tfidf(docs, DocMode.ALL_DOCUMENTS, WORD, Analyzer(AnalyzerKind.CHAR, 1, 4))
+
+
+def shuffled_term_lines(text):
+    header, *lines = text.splitlines()
+    random.Random(3).shuffle(lines)
+    return "\n".join([header, *lines]) + "\n"
+
+
 class TestIdf:
     """Vocabulary.idf takes one math.log per distinct document frequency; the
     per-term log in oracles.py is the reference, bit for bit."""
@@ -308,11 +319,8 @@ class TestIdf:
         assert np.array_equal(vocab.idf, frozen_idf_array(vocab))
 
     def test_fitted_and_parsed_vocabularies(self):
-        docs = [f"{a} {b} hola amigo" for a in ("que", "the", "la") for b in ("tal", "cat", "ok", "dog")]
-        model = fit_tfidf(docs, DocMode.ALL_DOCUMENTS, WORD, Analyzer(AnalyzerKind.CHAR, 1, 4))
-        header, *lines = format_tfidf(model).splitlines()
-        random.Random(3).shuffle(lines)  # term lines out of index order
-        restored = parse_tfidf("\n".join([header, *lines]) + "\n")
+        model = idf_model()
+        restored = parse_tfidf(format_tfidf(model))
         for vocab, parsed in ((model.word_vocab, restored.word_vocab), (model.char_vocab, restored.char_vocab)):
             assert np.array_equal(vocab.idf, frozen_idf_array(vocab))
             assert np.array_equal(parsed.idf, vocab.idf)
@@ -360,6 +368,18 @@ class TestPersistence:
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t1\nw\tterm\t0\t1\n",  # same term line twice
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t1\nw\tterm\t1\t1\n",  # one term at two indices
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t1\nw\tother\t0\t1\n",  # two terms at one index
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t4\n",  # df above n_documents
+            "tfidf v1 all_documents 1-1 2-5 3 0\n",  # no char documents
+            "tfidf v1 all_documents 1-1 2-5 3 3\r\nw\tterm\t0\t1\r\n",  # CRLF line ends
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tb\t1\t1\nw\ta\t0\t1\n",  # term lines in reverse index order
+            pytest.param(shuffled_term_lines(format_tfidf(idf_model())), id="term lines in random order"),
+            "tfidf v1 all_documents 1-1 2-5 +3 3\n",  # document count with a sign
+            "tfidf v1 all_documents 01-1 2-5 3 3\n",  # n-gram bound with a leading zero
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t 0\t1\n",  # index with a leading space
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t0_1\n",  # df that int() reads as 1
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tx\\q\t0\t1\n",  # unknown escape
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tte\rm\t0\t1\n",  # unescaped carriage return in a term
+            "tfidf v1 all_documents 1-1 2-5 3 3\nc\tab\t0\t1\nw\tterm\t0\t1\n",  # word line after the char block
         ],
     )
     def test_malformed_files_rejected(self, text):
