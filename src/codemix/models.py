@@ -145,14 +145,14 @@ _SCORE_LOSS = {ModelKind.LR: _softmax_loss, ModelKind.SVM: _hinge_loss}
 def _gradient_descent(X: sparse.csr_matrix, y_idx: np.ndarray, n_classes: int, cfg: TrainConfig, score_loss):
     """Mini-batch gradient descent on score_loss plus the L2 term, each step in O(nnz of its batch), not O(dim).
 
-    W = s * V (the scaling trick of Pegasos and of Bottou's "Stochastic Gradient Descent
-    Tricks"): a step's L2 decay scales s and its data gradient changes only the batch's
-    columns of V.  ||V||^2 is kept up to date for the L2 term of the loss check."""
+    W = s * V.T (the scaling trick of Pegasos and of Bottou's "Stochastic Gradient Descent
+    Tricks"): a step's L2 decay scales s and its data gradient changes only the batch's columns
+    of W, which are rows of V.  ||V||^2 is kept up to date for the L2 term of the loss check."""
     rng = np.random.default_rng(cfg.seed)
     n, dim = X.shape
-    V = np.zeros((n_classes, dim))
+    V = np.zeros((dim, n_classes))
     b = np.zeros(n_classes)
-    s, sq_norm = 1.0, 0.0  # W = s * V and sq_norm = ||V||^2
+    s, sq_norm = 1.0, 0.0  # W = s * V.T and sq_norm = ||V||^2
     slot = np.zeros(dim, dtype=np.intp)  # a column's place among its batch's distinct columns
     lr = cfg.resolved_learning_rate
     for epoch in range(1, cfg.epochs + 1):
@@ -167,8 +167,8 @@ def _gradient_descent(X: sparse.csr_matrix, y_idx: np.ndarray, n_classes: int, c
             columns = indices.compress(slot.take(indices) == occurrence)
             slot[columns] = np.arange(columns.size)
             local = sparse.csr_matrix((batch.data, slot.take(indices), batch.indptr), shape=(len(rows), columns.size))
-            block = V.take(columns, axis=1)
-            loss, grad_scores = score_loss(s * np.asarray(local @ block.T) + b, y_idx[rows])
+            block = V[columns]
+            loss, grad_scores = score_loss(s * (local @ block) + b, y_idx[rows])
             if not math.isfinite(loss + 0.5 * cfg.l2_lambda * s * s * sq_norm):
                 raise NumericError(f"training loss became non-finite at epoch {epoch}")
             s *= 1.0 - lr * cfg.l2_lambda
@@ -176,13 +176,12 @@ def _gradient_descent(X: sparse.csr_matrix, y_idx: np.ndarray, n_classes: int, c
                 V *= s
                 block *= s
                 s, sq_norm = 1.0, float(np.sum(V * V))
-            updated = block - (lr / s) * np.asarray(local.T @ grad_scores).T
+            updated = block - (lr / s) * (local.T @ grad_scores)
             sq_norm += float(np.sum(updated * updated)) - float(np.sum(block * block))
-            # One flat scatter: assigning to V[:, columns] took 2.5 times as long.
-            V.ravel()[(columns + dim * np.arange(n_classes)[:, None]).ravel()] = updated.ravel()
+            V[columns] = updated
             b -= lr * grad_scores.sum(axis=0)
     V *= s
-    return V, b
+    return np.ascontiguousarray(V.T), b
 
 
 def mnb_parameters(X, y_idx: np.ndarray, n_classes: int, alpha: float):
@@ -216,7 +215,10 @@ def fit(X: sparse.csr_matrix, y: Sequence[Sentiment], cfg: TrainConfig) -> Linea
             raise DataError(f"class {sentiment.label!r} absent from training data")
     y_idx = np.asarray([int(label) for label in y])
     if cfg.model_kind is ModelKind.MNB:
-        log_prior, log_likelihood = mnb_parameters(X, y_idx, N_CLASSES, cfg.mnb_alpha)
+        with np.errstate(all="ignore"):  # an extreme alpha takes the log of 0, refused just below
+            log_prior, log_likelihood = mnb_parameters(X, y_idx, N_CLASSES, cfg.mnb_alpha)
+        if not np.all(np.isfinite(log_likelihood)):
+            raise NumericError(f"naive Bayes log-likelihoods are not finite with mnb_alpha {cfg.mnb_alpha!r}")
         return LinearModel(kind=ModelKind.MNB, weights=log_likelihood, bias=log_prior, alpha=cfg.mnb_alpha)
     weights, bias = _gradient_descent(X, y_idx, N_CLASSES, cfg, _SCORE_LOSS[cfg.model_kind])
     return LinearModel(kind=cfg.model_kind, weights=weights, bias=bias)

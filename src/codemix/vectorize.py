@@ -9,13 +9,13 @@ ln((1 + N) / (1 + df)) + 1.
 """
 
 import math
+import operator
 import re
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
@@ -68,17 +68,14 @@ class Analyzer:
         if not (1 <= self.ngram_min <= self.ngram_max <= 8):
             raise ConfigError("analyzer n-gram range must satisfy 1 <= min <= max <= 8")
 
-    def terms(self, text: str) -> list[str]:
+    def terms(self, text: str) -> Iterator[str]:
+        """The text's n-grams as a lazy stream: shortest n first, then in text order."""
         lowered = text.lower()
-        grams: list[str] = []
+        ns = range(self.ngram_min, self.ngram_max + 1)
         if self.kind is AnalyzerKind.WORD:
             tokens = _WORD_TOKEN_RE.findall(lowered)
-            for n in range(self.ngram_min, self.ngram_max + 1):
-                grams.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-        else:
-            for n in range(self.ngram_min, self.ngram_max + 1):
-                grams.extend(lowered[i : i + n] for i in range(len(lowered) - n + 1))
-        return grams
+            return (" ".join(tokens[i : i + n]) for n in ns for i in range(len(tokens) - n + 1))
+        return (lowered[i : i + n] for n in ns for i in range(len(lowered) - n + 1))
 
 
 DEFAULT_WORD_ANALYZER = Analyzer(AnalyzerKind.WORD, 1, 1)
@@ -157,10 +154,10 @@ def count_terms(
 ) -> tuple[Vocabulary, sparse.csr_matrix]:
     """Term-count matrix of texts (one row per text, indices sorted in each row).
 
-    Without a vocabulary this fits one: terms get ids as they are first seen,
-    are then renumbered in lexicographic order, and each term's document
-    frequency is the number of rows it occurs in.  With a vocabulary,
-    out-of-vocabulary terms are dropped.
+    Without a vocabulary this fits one: terms get ids as they are first seen, are then
+    renumbered in lexicographic order, and each term's document frequency is the number of
+    rows it occurs in.  With a vocabulary, out-of-vocabulary terms are dropped as they are
+    read.  Each text's n-grams are streamed into the count and never held as a list.
     """
     fitting = vocab is None
     if fitting:
@@ -168,21 +165,20 @@ def count_terms(
         term_index.default_factory = term_index.__len__
     else:
         term_index = vocab.term_index
-    ids: list[int] = []  # one id per term occurrence, -1 when out of vocabulary
-    bounds = [0]
+    known = partial(operator.is_not, None)  # not None.__ne__: bool(NotImplemented) is deprecated
+    ids: list[int] = []  # one id per known term occurrence
+    bounds = [0]  # the CSR indptr: row r holds ids[bounds[r] : bounds[r + 1]]
     for text in texts:
         grams = analyzer.terms(text)
-        ids += map(term_index.__getitem__, grams) if fitting else map(term_index.get, grams, repeat(-1))
+        ids += map(term_index.__getitem__, grams) if fitting else filter(known, map(term_index.get, grams))
         bounds.append(len(ids))
     columns = np.array(ids, dtype=np.int64)
     del ids
     if fitting:  # renumber by rank; argsort inverts the lexicographic -> first-seen id permutation
         terms = sorted(term_index)
         columns = np.argsort([term_index[term] for term in terms])[columns]
-    known = columns >= 0
-    indptr = np.concatenate(([0], np.cumsum(known)))[bounds]
     shape = (len(bounds) - 1, len(term_index))
-    counts = sparse.csr_matrix((np.ones(indptr[-1]), columns[known], indptr), shape=shape)
+    counts = sparse.csr_matrix((np.ones(len(columns)), columns, bounds), shape=shape)
     counts.sum_duplicates()  # sorts each row by column and adds up the 1.0 of each occurrence
     if fitting:
         df = np.bincount(counts.indices, minlength=len(terms))

@@ -170,6 +170,13 @@ class TestTrain:
         assert (code, out, err) == (2, "", f"config error: {message}\n")
         assert not (workspace / "out").exists()
 
+    def test_non_finite_mnb_parameters_are_numeric_error(self, workspace, capsys):
+        flags = ["--train.model", "mnb", "--train.mnb_alpha", "1e308"]
+        code, out, err = run(["train", "--config", workspace / "cfg.ini", *flags], capsys)
+        message = "naive Bayes log-likelihoods are not finite with mnb_alpha 1e+308"
+        assert (code, out, err) == (4, "", f"numeric error: {message}\n")
+        assert not (workspace / "out").exists()
+
     def test_missing_train_path_is_config_error(self, workspace, capsys):
         code, _, err = run(
             ["train", "--data.train", workspace / "nope.txt", "--output.dir", workspace / "out"],

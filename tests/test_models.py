@@ -82,6 +82,13 @@ class TestMnb:
         assert log_likelihood[0] == pytest.approx([math.log(3 / 4), math.log(1 / 4)], abs=1e-15)
         assert log_likelihood[1] == pytest.approx([math.log(1 / 3), math.log(2 / 3)], abs=1e-15)
 
+    @pytest.mark.parametrize("alpha", [1e308, 5e-324])
+    def test_non_finite_parameters_raise_numeric_error(self, alpha):
+        # 1e308 * dim overflows the denominator and 5e-324 / denominator underflows: both take log(0).
+        X, y = separable_points()
+        with pytest.raises(NumericError, match="mnb_alpha"):
+            fit(X, y, TrainConfig(model_kind=ModelKind.MNB, mnb_alpha=alpha))
+
     def test_fit_matches_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

@@ -1,4 +1,6 @@
 import random
+import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import oracles
 from codemix.corpus import Dataset, LangTag, Sentiment, Token, Tweet
 from codemix.errors import ConfigError, DataError
 from codemix.vectorize import (
+    DEFAULT_CHAR_ANALYZER,
     Analyzer,
     AnalyzerKind,
     DocMode,
@@ -41,18 +44,18 @@ def labeled_tweet(tweet_id, words, sentiment):
 
 class TestAnalyzer:
     def test_word_unigrams(self):
-        assert WORD.terms("The cat, the CAT!") == ["the", "cat", "the", "cat"]
+        assert list(WORD.terms("The cat, the CAT!")) == ["the", "cat", "the", "cat"]
 
     def test_word_bigrams(self):
         analyzer = Analyzer(AnalyzerKind.WORD, 1, 2)
-        assert analyzer.terms("a b c") == ["a", "b", "c", "a b", "b c"]
+        assert list(analyzer.terms("a b c")) == ["a", "b", "c", "a b", "b c"]
 
     def test_char_ngrams_include_spaces(self):
-        assert CHAR2.terms("ab c") == ["ab", "b ", " c"]
+        assert list(CHAR2.terms("ab c")) == ["ab", "b ", " c"]
 
     def test_char_range(self):
         analyzer = Analyzer(AnalyzerKind.CHAR, 2, 3)
-        assert analyzer.terms("abc") == ["ab", "bc", "abc"]
+        assert list(analyzer.terms("abc")) == ["ab", "bc", "abc"]
 
     @pytest.mark.parametrize("low,high", [(0, 1), (3, 2), (1, 9)])
     def test_invalid_ranges(self, low, high):
@@ -62,12 +65,12 @@ class TestAnalyzer:
     def test_word_terms_match_oracle(self):
         for text in TOY_DOCS + ["¡Hola! ¿qué tal?", "under_score splits"]:
             for rng in [(1, 1), (1, 2), (2, 3)]:
-                assert Analyzer(AnalyzerKind.WORD, *rng).terms(text) == oracles.word_terms(text, *rng)
+                assert list(Analyzer(AnalyzerKind.WORD, *rng).terms(text)) == oracles.word_terms(text, *rng)
 
     def test_char_terms_match_oracle(self):
         for text in TOY_DOCS:
             for rng in [(2, 2), (2, 5), (1, 3)]:
-                assert Analyzer(AnalyzerKind.CHAR, *rng).terms(text) == oracles.char_terms(text, *rng)
+                assert list(Analyzer(AnalyzerKind.CHAR, *rng).terms(text)) == oracles.char_terms(text, *rng)
 
 
 def fit_vocabulary(docs, analyzer):
@@ -118,6 +121,25 @@ class TestFitVocabulary:
         assert same is vocab
         assert counts.shape == (3, 2)
         assert counts.toarray().tolist() == [[0.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
+
+    def test_counting_streams_the_grams_of_a_long_document(self):
+        # Holding a text's n-grams in a list peaks at about 90 traced bytes per occurrence (a
+        # pointer and a string each); streaming them peaks at 20 to 28, mostly the ids.
+        rng = random.Random(7)
+        words = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 9))) for _ in range(100)]
+        doc = " ".join(rng.choices(words, k=10_000))
+        occurrences = sum(len(doc) - n + 1 for n in range(2, 6))
+        vocab = fit_vocabulary([doc], DEFAULT_CHAR_ANALYZER)
+        vocab.term_index  # built once per vocabulary, outside the counts it serves
+        peaks = []
+        for fitted in (None, vocab):  # a fit, then a transform
+            tracemalloc.start()
+            try:
+                count_terms([doc], DEFAULT_CHAR_ANALYZER, fitted)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 48 * occurrences, (peaks, occurrences)
 
     def test_documents_without_terms_give_an_empty_vocabulary(self):
         model, matrix = fit_transform(["", " "], DocMode.ALL_DOCUMENTS, WORD, Analyzer(AnalyzerKind.CHAR, 3, 3))
