@@ -126,7 +126,9 @@ def _collect_settings(args: argparse.Namespace) -> Settings:
     if config_path:
         if not os.path.isfile(config_path):
             raise ConfigError(f"config file not found: {config_path}")
-        parser = configparser.ConfigParser(interpolation=None)
+        # No section is configparser's default section (a header is never empty), so [DEFAULT] is refused
+        # as unknown like any other instead of copying its keys into every section.
+        parser = configparser.ConfigParser(interpolation=None, default_section="")
         try:
             with open(config_path, encoding="utf-8") as handle:
                 parser.read_file(handle)

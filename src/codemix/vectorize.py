@@ -9,13 +9,12 @@ ln((1 + N) / (1 + df)) + 1.
 """
 
 import math
-import operator
 import re
-from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
+from itertools import chain, pairwise, repeat
 
 import numpy as np
 from scipy import sparse
@@ -69,7 +68,8 @@ class Analyzer:
             raise ConfigError("analyzer n-gram range must satisfy 1 <= min <= max <= 8")
 
     def terms(self, text: str) -> Iterator[str]:
-        """The text's n-grams as a lazy stream: shortest n first, then in text order."""
+        """The text's n-grams as a lazy stream: shortest n first, then in text order.  This defines
+        the n-grams that count_terms counts, without decoding each occurrence."""
         lowered = text.lower()
         ns = range(self.ngram_min, self.ngram_max + 1)
         if self.kind is AnalyzerKind.WORD:
@@ -149,56 +149,158 @@ def prepare_documents(dataset: Dataset, mode: DocMode, preprocessed: Sequence[st
     return [" ".join(buckets[sentiment]) for sentiment in Sentiment]
 
 
+def _int_type(bound: int) -> type:
+    """int32 if it holds every integer below bound, else int64."""
+    return np.int32 if bound <= 2**31 else np.int64
+
+
+def _symbols(texts: list[str], kind: AnalyzerKind) -> tuple[str | list[str], list[int], np.ndarray, int]:
+    """The units of the lowercased texts back to back (code points of one string, or word tokens), the
+    number of units in each text, each unit's rank in str order among the distinct units, and their number.
+
+    Each text is lowercased on its own: "İ".lower() is two code points and a final sigma depends on
+    its neighbour, so the joined lowercase is not the join of the lowercased texts."""
+    if kind is AnalyzerKind.WORD:
+        tokens = [_WORD_TOKEN_RE.findall(text.lower()) for text in texts]
+        sizes = list(map(len, tokens))
+        units = list(chain.from_iterable(tokens))
+        alphabet = sorted(set(units))
+        rank = dict(zip(alphabet, range(len(alphabet))))
+        return units, sizes, np.fromiter(map(rank.__getitem__, units), np.int32, len(units)), len(alphabet)
+    lowered = [text.lower() for text in texts]
+    sizes = list(map(len, lowered))
+    units = "".join(lowered)
+    # UTF-32 gives one unit per code point, valued as the code point (str order); surrogatepass keeps lone surrogates.
+    codes = np.frombuffer(units.encode("utf-32-le", "surrogatepass"), np.uint32)
+    alphabet = np.flatnonzero(np.bincount(codes))  # the code points that occur, in increasing order
+    return units, sizes, np.searchsorted(alphabet, codes).astype(np.int32), len(alphabet)
+
+
+def _count_levels(
+    texts: list[str], analyzer: Analyzer, vocab: Vocabulary | None = None, offset: int = 0
+) -> tuple[Vocabulary, list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The vocabulary of texts (vocab itself if given) and their term counts as one canonical CSR part
+    (int32 counts, int32 columns + offset, indptr) per n-gram length.
+
+    The n-gram at position p gets the dense rank of (rank of the (n-1)-gram at p, rank of unit p+n-1)
+    over the positions where it fits inside its text: the rank-pair step of suffix-array prefix
+    doubling (Manber & Myers 1993), extended one unit at a time.  Ranks follow str order within a
+    length, and only one occurrence of each distinct n-gram is decoded to a string: a fit sorts these
+    and numbers terms in lexicographic order, a transform looks them up and drops unknown ones.
+    """
+    units, sizes, symbols, n_symbols = _symbols(texts, analyzer.kind)
+    n_texts, n_units = len(texts), len(symbols)
+    position = _int_type(n_units + 1)
+    room = np.repeat(np.cumsum(sizes, dtype=position), sizes)  # units from each position to its text's end
+    room -= np.arange(n_units, dtype=position)
+    text_of = np.repeat(np.arange(n_texts, dtype=np.int32), sizes)
+    fitting = vocab is None
+    grams: list[str] = []  # a fit's distinct n-grams, level by level
+    parts = []  # per level: counts, then ranks, indptr and first gram (a fit) or columns and indptr (a transform)
+    rank, width = symbols.copy(), n_symbols  # the n-gram rank at each position where it fits; distinct n-grams
+    # Every array is dropped right after its last use: the level temporaries, not the counts, set the
+    # peak memory, and keeping any one of them longer raised a 12k-tweet train's peak RSS by 30-40 MB.
+    for n in range(1, analyzer.ngram_max + 1):
+        fits = np.flatnonzero(room >= n)
+        if n > 1:
+            key = rank[fits].astype(_int_type(width * n_symbols))
+            key *= n_symbols
+            key += symbols[n - 1 :][fits]
+            order = key.argsort()
+            key = key[order]
+            new = np.empty(len(key), bool)  # where each distinct n-gram starts in key order
+            new[:1] = True
+            np.not_equal(key[1:], key[:-1], out=new[1:])
+            del key
+            ranked = np.cumsum(new, dtype=np.int32)
+            ranked -= 1
+            width = np.count_nonzero(new)
+            del new
+            rank[fits[order]] = ranked
+            del order, ranked
+        if n < analyzer.ngram_min:
+            continue
+        level = rank[fits]
+        starts = np.empty(width, np.intp)
+        starts[level] = fits  # one occurrence of each distinct n-gram
+        pair_type = _int_type(n_texts * width + 1)
+        pair = text_of[fits].astype(pair_type)
+        del fits
+        pair *= width
+        pair += level
+        del level
+        pairs, counts = np.unique(pair, return_counts=True)  # sorted by text, then rank
+        del pair
+        indptr = np.searchsorted(pairs, np.arange(n_texts + 1, dtype=pair_type) * width)
+        ranks = (pairs % width).astype(np.int32)
+        counts = counts.astype(np.int32)
+        del pairs
+        pieces = map(units.__getitem__, map(slice, starts.tolist(), (starts + n).tolist()))
+        decoded = list(map(" ".join, pieces) if analyzer.kind is AnalyzerKind.WORD else pieces)
+        if fitting:
+            parts.append((counts, ranks, indptr, len(grams)))
+            grams += decoded
+            continue
+        columns = np.fromiter(map(vocab.term_index.get, decoded, repeat(-1)), np.int32, width)[ranks]
+        known = columns >= 0
+        indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
+        columns = columns[known]
+        columns += offset
+        parts.append((counts[known], columns, indptr))
+    del units, symbols, rank, room, text_of
+    if not fitting:
+        return vocab, parts
+    order = sorted(range(len(grams)), key=grams.__getitem__)
+    column = np.empty(len(grams), np.int32)
+    column[order] = np.arange(len(grams), dtype=np.int32)
+    df = np.zeros(len(grams), np.int64)
+    for i, (counts, ranks, indptr, first) in enumerate(parts):
+        columns = column[ranks + first]  # rising with rank within a level, so each row stays sorted
+        df += np.bincount(columns, minlength=len(grams))
+        columns += offset
+        parts[i] = counts, columns, indptr
+    return Vocabulary(tuple(map(grams.__getitem__, order)), tuple(df.tolist()), n_texts), parts
+
+
 def count_terms(
     texts: Iterable[str], analyzer: Analyzer, vocab: Vocabulary | None = None
 ) -> tuple[Vocabulary, sparse.csr_matrix]:
-    """Term-count matrix of texts (one row per text, indices sorted in each row).
+    """Term-count matrix of texts (one row per text, float64 counts, indices sorted in each row).
 
-    Without a vocabulary this fits one: terms get ids as they are first seen, are then
-    renumbered in lexicographic order, and each term's document frequency is the number of
-    rows it occurs in.  With a vocabulary, out-of-vocabulary terms are dropped as they are
-    read.  Each text's n-grams are streamed into the count and never held as a list.
+    Without a vocabulary this fits one: terms are numbered in lexicographic order, and each
+    term's document frequency is the number of rows it occurs in.  With a vocabulary,
+    out-of-vocabulary terms are dropped.
     """
-    fitting = vocab is None
-    if fitting:
-        term_index: dict[str, int] = defaultdict()
-        term_index.default_factory = term_index.__len__
-    else:
-        term_index = vocab.term_index
-    known = partial(operator.is_not, None)  # not None.__ne__: bool(NotImplemented) is deprecated
-    ids: list[int] = []  # one id per known term occurrence
-    bounds = [0]  # the CSR indptr: row r holds ids[bounds[r] : bounds[r + 1]]
-    for text in texts:
-        grams = analyzer.terms(text)
-        ids += map(term_index.__getitem__, grams) if fitting else filter(known, map(term_index.get, grams))
-        bounds.append(len(ids))
-    columns = np.array(ids, dtype=np.int64)
-    del ids
-    if fitting:  # renumber by rank; argsort inverts the lexicographic -> first-seen id permutation
-        terms = sorted(term_index)
-        columns = np.argsort([term_index[term] for term in terms])[columns]
-    shape = (len(bounds) - 1, len(term_index))
-    counts = sparse.csr_matrix((np.ones(len(columns)), columns, bounds), shape=shape)
-    counts.sum_duplicates()  # sorts each row by column and adds up the 1.0 of each occurrence
-    if fitting:
-        df = np.bincount(counts.indices, minlength=len(terms))
-        vocab = Vocabulary(tuple(terms), tuple(df.tolist()), shape[0])
+    texts = list(texts)
+    vocab, parts = _count_levels(texts, analyzer, vocab)
+    counts = _join(parts, (len(texts), len(vocab)))
+    counts.data = counts.data.astype(np.float64)
     return vocab, counts
 
 
-def _tfidf(model: TfIdfModel, word_counts: sparse.csr_matrix, char_counts: sparse.csr_matrix) -> sparse.csr_matrix:
-    """Weight both count blocks by idf, join them and L2-normalize every row."""
-    for counts, vocab in ((word_counts, model.word_vocab), (char_counts, model.char_vocab)):
-        counts.data *= vocab.idf[counts.indices]
-    matrix = sparse.hstack([word_counts, char_counts], format="csr")
-    # Python's sum over each row in index order, the reference arithmetic in
-    # tests/oracles.py: np.add.reduceat sums pairwise, which changes the last
-    # bits of the weights and so the saved models.
-    squares = matrix.data * matrix.data
-    bounds = matrix.indptr.tolist()
-    norms = [math.sqrt(sum(squares[a:b].tolist())) for a, b in zip(bounds, bounds[1:])]
-    matrix.data /= np.repeat(norms, np.diff(matrix.indptr))
-    return matrix
+def _join(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], shape: tuple[int, int]) -> sparse.csr_matrix:
+    """One canonical CSR matrix of int32 counts from canonical CSR parts whose columns are disjoint.
+    Each part is merged in and freed in turn, smallest first, so no part is held twice."""
+    parts.sort(key=lambda part: len(part[0]), reverse=True)
+    counts = sparse.csr_matrix(shape, dtype=np.int32)
+    while parts:
+        counts = counts + sparse.csr_matrix(parts.pop(), shape=shape)
+    counts.sort_indices()  # a no-op check, unless a parsed vocabulary numbers terms out of str order
+    return counts
+
+
+def _tfidf(model: TfIdfModel, counts: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The joined word+char counts weighted by idf, each row L2-normalized in place."""
+    weights = np.concatenate((model.word_vocab.idf, model.char_vocab.idf))[counts.indices]
+    weights *= counts.data
+    counts.data = weights
+    for a, b in pairwise(counts.indptr.tolist()):
+        row = weights[a:b]
+        # Python's sum over the row in index order, the reference arithmetic in
+        # tests/oracles.py: np.add.reduceat sums pairwise, which changes the last
+        # bits of the weights and so the saved models.
+        row /= math.sqrt(sum((row * row).tolist()))
+    return counts
 
 
 def fit_transform(
@@ -212,8 +314,8 @@ def fit_transform(
     docs = list(docs)
     if not docs:
         raise DataError("cannot fit a vocabulary on an empty document list")
-    word_vocab, word_counts = count_terms(docs, word_analyzer)
-    char_vocab, char_counts = count_terms(docs, char_analyzer)
+    word_vocab, word_parts = _count_levels(docs, word_analyzer)
+    char_vocab, char_parts = _count_levels(docs, char_analyzer, offset=len(word_vocab))
     model = TfIdfModel(
         word_vocab=word_vocab,
         char_vocab=char_vocab,
@@ -221,7 +323,7 @@ def fit_transform(
         char_analyzer=char_analyzer,
         mode=mode,
     )
-    return model, _tfidf(model, word_counts, char_counts)
+    return model, _tfidf(model, _join(word_parts + char_parts, (len(docs), model.dim)))
 
 
 def fit_tfidf(*args, **kwargs) -> TfIdfModel:
@@ -232,9 +334,9 @@ def fit_tfidf(*args, **kwargs) -> TfIdfModel:
 def transform_batch(model: TfIdfModel, texts: Iterable[str]) -> sparse.csr_matrix:
     """TF-IDF matrix of texts, one row per text; out-of-vocabulary terms are ignored."""
     texts = list(texts)
-    word_counts = count_terms(texts, model.word_analyzer, model.word_vocab)[1]
-    char_counts = count_terms(texts, model.char_analyzer, model.char_vocab)[1]
-    return _tfidf(model, word_counts, char_counts)
+    word_parts = _count_levels(texts, model.word_analyzer, model.word_vocab)[1]
+    char_parts = _count_levels(texts, model.char_analyzer, model.char_vocab, len(model.word_vocab))[1]
+    return _tfidf(model, _join(word_parts + char_parts, (len(texts), model.dim)))
 
 
 def _escape_term(term: str) -> str:

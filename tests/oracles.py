@@ -8,18 +8,23 @@ the library must reproduce: the per-vector TF-IDF transform, idf and
 per-row scorer, the dense gradient-descent step with its two objectives,
 the per-character normalizer rules and the per-token URL rule, with the
 pipeline around them (which calls the library's two rules that kept their
-code: mentions and hashtags).
+code: mentions and hashtags), and the per-occurrence n-gram counter (which
+reads each text's n-grams from the library's Analyzer.terms).
 """
 
 import math
+import operator
 import re
-from collections import Counter
+from collections import Counter, defaultdict
+from functools import partial
 
 import numpy as np
+from scipy import sparse
 
 from codemix.corpus import Sentiment
 from codemix.errors import ConfigError, NumericError
 from codemix.preprocess import remove_mentions, segment_hashtags
+from codemix.vectorize import Vocabulary
 
 
 def word_tokens(text):
@@ -116,6 +121,41 @@ def frozen_transform(model, text):
     if norm == 0.0:
         return (), ()
     return tuple(index for index, _ in items), tuple(weight / norm for _, weight in items)
+
+
+def frozen_count_terms(texts, analyzer, vocab=None):
+    """Term-count matrix of texts (one row per text, indices sorted in each row).
+
+    Without a vocabulary this fits one: terms get ids as they are first seen, are then
+    renumbered in lexicographic order, and each term's document frequency is the number of
+    rows it occurs in.  With a vocabulary, out-of-vocabulary terms are dropped as they are
+    read.  Each text's n-grams are streamed into the count and never held as a list.
+    """
+    fitting = vocab is None
+    if fitting:
+        term_index: dict[str, int] = defaultdict()
+        term_index.default_factory = term_index.__len__
+    else:
+        term_index = vocab.term_index
+    known = partial(operator.is_not, None)  # not None.__ne__: bool(NotImplemented) is deprecated
+    ids: list[int] = []  # one id per known term occurrence
+    bounds = [0]  # the CSR indptr: row r holds ids[bounds[r] : bounds[r + 1]]
+    for text in texts:
+        grams = analyzer.terms(text)
+        ids += map(term_index.__getitem__, grams) if fitting else filter(known, map(term_index.get, grams))
+        bounds.append(len(ids))
+    columns = np.array(ids, dtype=np.int64)
+    del ids
+    if fitting:  # renumber by rank; argsort inverts the lexicographic -> first-seen id permutation
+        terms = sorted(term_index)
+        columns = np.argsort([term_index[term] for term in terms])[columns]
+    shape = (len(bounds) - 1, len(term_index))
+    counts = sparse.csr_matrix((np.ones(len(columns)), columns, bounds), shape=shape)
+    counts.sum_duplicates()  # sorts each row by column and adds up the 1.0 of each occurrence
+    if fitting:
+        df = np.bincount(counts.indices, minlength=len(terms))
+        vocab = Vocabulary(tuple(terms), tuple(df.tolist()), shape[0])
+    return vocab, counts
 
 
 def frozen_predict(weights, bias, indices, values):

@@ -214,6 +214,13 @@ class TestTrain:
         assert code == 2
         assert "wat" in err
 
+    @pytest.mark.parametrize("extra", ["seed = 3\n", ""])
+    def test_default_config_section_rejected(self, workspace, capsys, extra):
+        cfg = workspace / "bad.ini"
+        cfg.write_text(f"[DEFAULT]\n{extra}[data]\ntrain = x\n", encoding="utf-8")
+        code, _, err = run(["train", "--config", cfg], capsys)
+        assert (code, err) == (2, "config error: unknown config section [DEFAULT]\n")
+
     def test_aux_csv_rows_are_appended(self, workspace, capsys):
         csv_path = workspace / "aux.csv"
         csv_path.write_text(AUX_CSV, encoding="utf-8")
@@ -373,6 +380,15 @@ class TestEvalCommand:
         code, out, err = run(["eval", "--model-dir", DATA / f"seed_{kind}", "--data", DATA / "seed_dev.txt"], capsys)
         assert (code, err) == (0, "")
         assert out == (DATA / f"seed_{kind}.eval.txt").read_text(encoding="utf-8")
+
+    def test_train_writes_the_first_release_bytes(self, tmp_path, capsys):
+        # The MNB model has no training order to drift with. The SVM model.txt is not compared: the
+        # O(nnz) SGD step changed its last bits. Manifests record output.dir, so they differ too.
+        for kind, artifacts in (("mnb", ("tfidf.txt", "model.txt")), ("svm", ("tfidf.txt",))):
+            args = ["train", "--data.train", DATA / "seed_corpus.txt", "--train.model", kind, "--output.dir", tmp_path / kind]
+            assert run(args, capsys)[0] == 0
+            for name in artifacts:
+                assert (tmp_path / kind / name).read_bytes() == (DATA / f"seed_{kind}" / name).read_bytes(), (kind, name)
 
     def test_empty_value_of_a_key_with_a_default_keeps_the_hash(self, workspace, capsys):
         args = ["train", "--config", workspace / "cfg.ini", "--data.aux_label_column", ""]

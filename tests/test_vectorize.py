@@ -124,7 +124,8 @@ class TestFitVocabulary:
 
     def test_counting_streams_the_grams_of_a_long_document(self):
         # Holding a text's n-grams in a list peaks at about 90 traced bytes per occurrence (a
-        # pointer and a string each); streaming them peaks at 20 to 28, mostly the ids.
+        # pointer and a string each); streaming them peaked at 20 to 28, mostly the ids, and the
+        # array counter peaks at about 18, mostly its int32 ranks and one level's temporaries.
         rng = random.Random(7)
         words = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 9))) for _ in range(100)]
         doc = " ".join(rng.choices(words, k=10_000))
@@ -145,6 +146,70 @@ class TestFitVocabulary:
         model, matrix = fit_transform(["", " "], DocMode.ALL_DOCUMENTS, WORD, Analyzer(AnalyzerKind.CHAR, 3, 3))
         assert model.dim == 0
         assert matrix.shape == (2, 0)
+
+
+# Pieces that trip an array counter: separators, NUL, a capital whose lowercase is two code points
+# ("İ"), both sigmas (lowercasing "Σ" depends on its neighbours), an astral emoji (one code point,
+# two UTF-16 units), a lone surrogate, and "_", which ends a word token.
+_COUNT_PIECES = [" ", "\x00", "\t", "İ", "Σ", "σ", "ς", "\U0001F600", "\ud800", "a", "b", "ab", "_", "7"]
+_COUNT_TEXT = st.lists(st.sampled_from(_COUNT_PIECES), max_size=9).map("".join)
+_ALL_RANGES = [(low, high) for low in range(1, 9) for high in range(low, 9)]
+
+
+def assert_counts_equal(counted, frozen):
+    (vocab, counts), (frozen_vocab, frozen_counts) = counted, frozen
+    assert vocab == frozen_vocab
+    assert counts.shape == frozen_counts.shape
+    assert counts.data.dtype == np.float64
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(counts, name), getattr(frozen_counts, name)), name
+
+
+class TestCountTermsMatchesFrozenCounter:
+    """count_terms against the per-occurrence counter it replaced, for both analyzers and every range."""
+
+    @pytest.mark.parametrize("ngram_range", _ALL_RANGES)
+    @settings(max_examples=12, deadline=None)
+    @given(texts=st.lists(_COUNT_TEXT, max_size=6), others=st.lists(_COUNT_TEXT, max_size=6))
+    def test_fit_and_transform(self, ngram_range, texts, others):
+        for kind in AnalyzerKind:
+            analyzer = Analyzer(kind, *ngram_range)
+            assert_counts_equal(count_terms(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
+            # A vocabulary fitted on other texts, so grams out of it are dropped; and the same
+            # terms numbered out of str order (by their reversal), as a parsed file may number them.
+            vocab = oracles.frozen_count_terms(others, analyzer)[0]
+            order = sorted(range(len(vocab)), key=lambda i: vocab.terms[i][::-1])
+            reordered = Vocabulary(
+                tuple(vocab.terms[i] for i in order), tuple(vocab.document_frequency[i] for i in order), vocab.n_documents
+            )
+            for fitted in (vocab, reordered):
+                counted = count_terms(texts, analyzer, fitted)
+                assert counted[0] is fitted
+                assert_counts_equal(counted, oracles.frozen_count_terms(texts, analyzer, fitted))
+
+    def test_keys_wider_than_int32(self):
+        # 200k code points drawn from 100k give about 86k symbols and 200k distinct bigrams, so the
+        # trigram key (bigram rank * symbols + symbol) reaches about 4 * 2**32: built in int32, it
+        # would wrap and merge distinct trigrams.
+        rng = random.Random(3)
+        alphabet = [chr(code) for code in range(0x4E00, 0x4E00 + 100_000)]
+        texts, others = (["".join(rng.choices(alphabet, k=size))] for size in (200_000, 50_000))
+        analyzer = Analyzer(AnalyzerKind.CHAR, 3, 3)
+        assert_counts_equal(count_terms(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
+        vocab = count_terms(others, analyzer)[0]
+        assert_counts_equal(count_terms(texts, analyzer, vocab), oracles.frozen_count_terms(texts, analyzer, vocab))
+        # 30k texts and about 90k distinct unigrams: the (text, unigram) pair key passes 2**31 too.
+        texts = ["".join(rng.choices(alphabet, k=8)) for _ in range(30_000)]
+        unigrams = Analyzer(AnalyzerKind.CHAR, 1, 1)
+        assert_counts_equal(count_terms(texts, unigrams), oracles.frozen_count_terms(texts, unigrams))
+
+    def test_examples_hold_every_piece(self):
+        text = "".join(_COUNT_PIECES) + " ΣΣ σς İİ"
+        for ngram_range in [(1, 1), (1, 8), (2, 5), (8, 8)]:
+            for kind in AnalyzerKind:
+                analyzer = Analyzer(kind, *ngram_range)
+                texts = [text, "", "a", text[::-1]]
+                assert_counts_equal(count_terms(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
 
 
 class TestPrepareDocuments:
