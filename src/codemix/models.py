@@ -142,23 +142,59 @@ def ovr_hinge_objective(W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_l
 _SCORE_LOSS = {ModelKind.LR: _softmax_loss, ModelKind.SVM: _hinge_loss}
 
 
-def _gradient_descent(X: sparse.csr_matrix, y_idx: np.ndarray, n_classes: int, cfg: TrainConfig, score_loss):
-    """Mini-batch gradient descent on score_loss plus the L2 term, each step in O(nnz of its batch), not O(dim).
+class _SgdState:
+    """One LR or SVM model on its way through a batch stream: W = s * V.T and the bias b.
 
-    W = s * V.T (the scaling trick of Pegasos and of Bottou's "Stochastic Gradient Descent
-    Tricks"): a step's L2 decay scales s and its data gradient changes only the batch's columns
-    of W, which are rows of V.  ||V||^2 is kept up to date for the L2 term of the loss check."""
-    rng = np.random.default_rng(cfg.seed)
+    ||V||^2 is kept up to date for the L2 term of the loss check.  A row of V, one column of W,
+    is one record of the view records, so a batch's rows move with take and put, which copy
+    their bits as they are."""
+
+    def __init__(self, cfg: TrainConfig, dim: int, n_classes: int):
+        self.kind, self.score_loss = cfg.model_kind, _SCORE_LOSS[cfg.model_kind]
+        self.lr, self.l2_lambda = cfg.resolved_learning_rate, cfg.l2_lambda
+        self.V = np.zeros((dim, n_classes))
+        self.records = self.V.view(np.dtype((np.void, self.V.itemsize * n_classes))).reshape(dim)
+        self.b = np.zeros(n_classes)
+        self.s, self.sq_norm = 1.0, 0.0
+
+    def step(self, local: sparse.csr_matrix, local_t, columns: np.ndarray, y_batch: np.ndarray, epoch: int) -> None:
+        """One mini-batch step: local holds the batch's rows over its distinct columns, local_t is local.T."""
+        block = self.records.take(columns).view(self.V.dtype).reshape(-1, self.V.shape[1])
+        loss, grad_scores = self.score_loss(self.s * (local @ block) + self.b, y_batch)
+        if not math.isfinite(loss + 0.5 * self.l2_lambda * self.s * self.s * self.sq_norm):
+            raise NumericError(f"{self.kind.value} training loss became non-finite at epoch {epoch}")
+        self.s *= 1.0 - self.lr * self.l2_lambda
+        if self.s < 1e-9:  # the decay wiped out or flipped W: fold s into V rather than divide by it
+            self.V *= self.s
+            block *= self.s
+            self.s, self.sq_norm = 1.0, float(np.sum(self.V * self.V))
+        updated = block - (self.lr / self.s) * (local_t @ grad_scores)
+        self.sq_norm += float(np.sum(updated * updated)) - float(np.sum(block * block))
+        self.records.put(columns, updated.view(self.records.dtype).reshape(-1))
+        self.b -= self.lr * grad_scores.sum(axis=0)
+
+
+def _gradient_descent(X: sparse.csr_matrix, y_idx: np.ndarray, n_classes: int, configs: Sequence[TrainConfig]):
+    """Mini-batch gradient descent of one LR or SVM model per config over one batch stream, each
+    step in O(nnz of its batch), not O(dim).  Returns the (weights, bias) of each config.
+
+    The stream, each batch's rows and their distinct columns, depends only on X, the seed, the
+    epochs and the batch size, which the configs must share; it is built once for all models.
+    A model keeps W = s * V.T (the scaling trick of Pegasos and of Bottou's "Stochastic Gradient
+    Descent Tricks"): a step's L2 decay scales s and its data gradient changes only the batch's
+    columns of W, which are rows of V.  Within a batch the models step in config order, so the
+    first model whose loss becomes non-finite raises NumericError at the step a lone fit would."""
+    plan = configs[0]
+    if any((cfg.seed, cfg.epochs, cfg.batch_size) != (plan.seed, plan.epochs, plan.batch_size) for cfg in configs):
+        raise ConfigError("models trained on one batch stream must share seed, epochs and batch_size")
+    rng = np.random.default_rng(plan.seed)
     n, dim = X.shape
-    V = np.zeros((dim, n_classes))
-    b = np.zeros(n_classes)
-    s, sq_norm = 1.0, 0.0  # W = s * V.T and sq_norm = ||V||^2
+    states = [_SgdState(cfg, dim, n_classes) for cfg in configs]
     slot = np.zeros(dim, dtype=np.intp)  # a column's place among its batch's distinct columns
-    lr = cfg.resolved_learning_rate
-    for epoch in range(1, cfg.epochs + 1):
+    for epoch in range(1, plan.epochs + 1):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
+        for start in range(0, n, plan.batch_size):
+            rows = order[start : start + plan.batch_size]
             batch = X[rows]
             # Distinct columns without a sort: each keeps the occurrence whose write to slot survived.
             indices = batch.indices.astype(np.intp)
@@ -167,21 +203,10 @@ def _gradient_descent(X: sparse.csr_matrix, y_idx: np.ndarray, n_classes: int, c
             columns = indices.compress(slot.take(indices) == occurrence)
             slot[columns] = np.arange(columns.size)
             local = sparse.csr_matrix((batch.data, slot.take(indices), batch.indptr), shape=(len(rows), columns.size))
-            block = V[columns]
-            loss, grad_scores = score_loss(s * (local @ block) + b, y_idx[rows])
-            if not math.isfinite(loss + 0.5 * cfg.l2_lambda * s * s * sq_norm):
-                raise NumericError(f"training loss became non-finite at epoch {epoch}")
-            s *= 1.0 - lr * cfg.l2_lambda
-            if s < 1e-9:  # the decay wiped out or flipped W: fold s into V rather than divide by it
-                V *= s
-                block *= s
-                s, sq_norm = 1.0, float(np.sum(V * V))
-            updated = block - (lr / s) * (local.T @ grad_scores)
-            sq_norm += float(np.sum(updated * updated)) - float(np.sum(block * block))
-            V[columns] = updated
-            b -= lr * grad_scores.sum(axis=0)
-    V *= s
-    return np.ascontiguousarray(V.T), b
+            local_t, y_batch = local.T, y_idx[rows]
+            for state in states:
+                state.step(local, local_t, columns, y_batch, epoch)
+    return [(np.multiply(state.V.T, state.s, order="C"), state.b) for state in states]
 
 
 def mnb_parameters(X, y_idx: np.ndarray, n_classes: int, alpha: float):
@@ -203,8 +228,11 @@ def mnb_parameters(X, y_idx: np.ndarray, n_classes: int, alpha: float):
     return log_prior, log_likelihood
 
 
-def fit(X: sparse.csr_matrix, y: Sequence[Sentiment], cfg: TrainConfig) -> LinearModel:
-    """Train the configured classifier on the rows of X; every class must appear in y."""
+def fit_all(X: sparse.csr_matrix, y: Sequence[Sentiment], configs: Sequence[TrainConfig]) -> list[LinearModel]:
+    """Train one classifier per config on the rows of X; every class must appear in y.
+
+    The LR and SVM models advance over one batch stream (see _gradient_descent), so their
+    configs must share seed, epochs and batch_size; each comes out bit-identical to its own fit."""
     n = X.shape[0]
     if n != len(y):
         raise DataError(f"got {n} rows for {len(y)} labels")
@@ -214,14 +242,25 @@ def fit(X: sparse.csr_matrix, y: Sequence[Sentiment], cfg: TrainConfig) -> Linea
         if sentiment not in y:
             raise DataError(f"class {sentiment.label!r} absent from training data")
     y_idx = np.asarray([int(label) for label in y])
-    if cfg.model_kind is ModelKind.MNB:
-        with np.errstate(all="ignore"):  # an extreme alpha takes the log of 0, refused just below
-            log_prior, log_likelihood = mnb_parameters(X, y_idx, N_CLASSES, cfg.mnb_alpha)
-        if not np.all(np.isfinite(log_likelihood)):
-            raise NumericError(f"naive Bayes log-likelihoods are not finite with mnb_alpha {cfg.mnb_alpha!r}")
-        return LinearModel(kind=ModelKind.MNB, weights=log_likelihood, bias=log_prior, alpha=cfg.mnb_alpha)
-    weights, bias = _gradient_descent(X, y_idx, N_CLASSES, cfg, _SCORE_LOSS[cfg.model_kind])
-    return LinearModel(kind=cfg.model_kind, weights=weights, bias=bias)
+    linear = [cfg for cfg in configs if cfg.model_kind is not ModelKind.MNB]
+    trained = iter(_gradient_descent(X, y_idx, N_CLASSES, linear) if linear else ())
+    return [
+        _fit_mnb(X, y_idx, cfg) if cfg.model_kind is ModelKind.MNB else LinearModel(cfg.model_kind, *next(trained))
+        for cfg in configs
+    ]
+
+
+def _fit_mnb(X: sparse.csr_matrix, y_idx: np.ndarray, cfg: TrainConfig) -> LinearModel:
+    with np.errstate(all="ignore"):  # an extreme alpha takes the log of 0, refused just below
+        log_prior, log_likelihood = mnb_parameters(X, y_idx, N_CLASSES, cfg.mnb_alpha)
+    if not np.all(np.isfinite(log_likelihood)):
+        raise NumericError(f"naive Bayes log-likelihoods are not finite with mnb_alpha {cfg.mnb_alpha!r}")
+    return LinearModel(kind=ModelKind.MNB, weights=log_likelihood, bias=log_prior, alpha=cfg.mnb_alpha)
+
+
+def fit(X: sparse.csr_matrix, y: Sequence[Sentiment], cfg: TrainConfig) -> LinearModel:
+    """Train the configured classifier on the rows of X; every class must appear in y."""
+    return fit_all(X, y, [cfg])[0]
 
 
 def predict_scores(model: LinearModel, X: sparse.csr_matrix) -> np.ndarray:
@@ -238,7 +277,12 @@ def predict_batch(model: LinearModel, X: sparse.csr_matrix) -> list[Sentiment]:
 
 
 def _format_row(values: np.ndarray) -> str:
-    return " ".join(["%.17g"] * len(values)) % tuple(values.tolist())
+    """The values as %.17g text, each distinct bit pattern formatted once (-0.0 stays "-0").
+
+    A row repeats most of its values: n-grams that occur in the same rows get the same updates."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(["%.17g" % value for value in distinct.view(np.float64).tolist()], dtype=object)
+    return " ".join(texts[inverse].tolist())
 
 
 def _model_lines(model: LinearModel):

@@ -295,11 +295,12 @@ def _tfidf(model: TfIdfModel, counts: sparse.csr_matrix) -> sparse.csr_matrix:
     weights *= counts.data
     counts.data = weights
     for a, b in pairwise(counts.indptr.tolist()):
-        row = weights[a:b]
-        # Python's sum over the row in index order, the reference arithmetic in
-        # tests/oracles.py: np.add.reduceat sums pairwise, which changes the last
-        # bits of the weights and so the saved models.
-        row /= math.sqrt(sum((row * row).tolist()))
+        if a < b:
+            row = weights[a:b]
+            # A sequential sum of the squares in index order, the reference arithmetic in
+            # tests/oracles.py.  np.add.reduceat sums pairwise and Python's sum compensates
+            # from 3.12 on; either changes the last bits of the weights and so the saved models.
+            row /= math.sqrt(np.add.accumulate(row * row)[-1])
     return counts
 
 

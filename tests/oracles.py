@@ -3,20 +3,23 @@
 Everything here is deliberately written with plain loops and math.* so it
 shares no code with the library: dense TF-IDF, per-class F1 counting, MNB
 closed-form estimates, finite-difference gradients and dense score
-evaluation.  The ``frozen_*`` functions keep earlier implementations that
-the library must reproduce: the per-vector TF-IDF transform, idf and
-per-row scorer, the dense gradient-descent step with its two objectives,
-the per-character normalizer rules and the per-token URL rule, with the
-pipeline around them (which calls the library's two rules that kept their
-code: mentions and hashtags), and the per-occurrence n-gram counter (which
-reads each text's n-grams from the library's Analyzer.terms).
+evaluation.  An L2 norm sums its squares left to right with functools.reduce,
+as Python's sum did before 3.12 made it compensated.  The ``frozen_*``
+functions keep earlier implementations that the library must reproduce: the
+per-vector TF-IDF transform, idf and per-row scorer, the dense
+gradient-descent step with its two objectives, the O(nnz) step of one model
+on its own batch stream, the per-character normalizer rules and the
+per-token URL rule, with the pipeline around them (which calls the
+library's two rules that kept their code: mentions and hashtags), and the
+per-occurrence n-gram counter (which reads each text's n-grams from the
+library's Analyzer.terms).
 """
 
 import math
 import operator
 import re
 from collections import Counter, defaultdict
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 from scipy import sparse
@@ -77,7 +80,7 @@ def dense_tfidf(train_docs, query, word_range=(1, 1), char_range=(2, 5)):
             tf = query_terms.count(term)
             idf = math.log((1 + n) / (1 + df[term])) + 1.0
             vector.append(tf * idf)
-    norm = math.sqrt(sum(w * w for w in vector))
+    norm = math.sqrt(reduce(operator.add, (w * w for w in vector), 0.0))
     if norm:
         vector = [w / norm for w in vector]
     return vector
@@ -117,7 +120,7 @@ def frozen_transform(model, text):
         entries, model.char_vocab, char_terms(text, char.ngram_min, char.ngram_max), len(model.word_vocab.term_index)
     )
     items = sorted(entries.items())
-    norm = math.sqrt(sum(weight * weight for _, weight in items))
+    norm = math.sqrt(reduce(operator.add, (weight * weight for _, weight in items), 0.0))
     if norm == 0.0:
         return (), ()
     return tuple(index for index, _ in items), tuple(weight / norm for _, weight in items)
@@ -269,6 +272,45 @@ def frozen_gradient_descent(X, y_idx, n_classes, cfg, objective):
             W -= lr * grad_W
             b -= lr * grad_b
     return W, b
+
+
+def frozen_sparse_gradient_descent(X, y_idx, n_classes, cfg, score_loss):
+    """The O(nnz) step of one model on its own batch stream: W = s * V.T, and a batch's
+    distinct columns found with a slot array, read with V[columns] and written back with
+    V[columns] = updated.  score_loss is the library's loss of the score rows."""
+    rng = np.random.default_rng(cfg.seed)
+    n, dim = X.shape
+    V = np.zeros((dim, n_classes))
+    b = np.zeros(n_classes)
+    s, sq_norm = 1.0, 0.0  # W = s * V.T and sq_norm = ||V||^2
+    slot = np.zeros(dim, dtype=np.intp)
+    lr = cfg.resolved_learning_rate
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start : start + cfg.batch_size]
+            batch = X[rows]
+            indices = batch.indices.astype(np.intp)
+            occurrence = np.arange(indices.size)
+            slot[indices] = occurrence
+            columns = indices.compress(slot.take(indices) == occurrence)
+            slot[columns] = np.arange(columns.size)
+            local = sparse.csr_matrix((batch.data, slot.take(indices), batch.indptr), shape=(len(rows), columns.size))
+            block = V[columns]
+            loss, grad_scores = score_loss(s * (local @ block) + b, y_idx[rows])
+            if not math.isfinite(loss + 0.5 * cfg.l2_lambda * s * s * sq_norm):
+                raise NumericError(f"training loss became non-finite at epoch {epoch}")
+            s *= 1.0 - lr * cfg.l2_lambda
+            if s < 1e-9:
+                V *= s
+                block *= s
+                s, sq_norm = 1.0, float(np.sum(V * V))
+            updated = block - (lr / s) * (local.T @ grad_scores)
+            sq_norm += float(np.sum(updated * updated)) - float(np.sum(block * block))
+            V[columns] = updated
+            b -= lr * grad_scores.sum(axis=0)
+    V *= s
+    return np.ascontiguousarray(V.T), b
 
 
 def _squash(text):

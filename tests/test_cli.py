@@ -592,6 +592,45 @@ class TestGridCommand:
         self.grid_cells(workspace, capsys)
         assert calls == {"run_pipeline": 90 + 30, "fit_tfidf": 1, "fit_transform": 1}
 
+    def test_trains_lr_and_svm_of_a_doc_mode_on_one_batch_stream(self, workspace, capsys, monkeypatch):
+        streams = []
+
+        def recording(X, y_idx, n_classes, configs):
+            streams.append([cfg.model_kind for cfg in configs])
+            return original(X, y_idx, n_classes, configs)
+
+        original = models._gradient_descent
+        monkeypatch.setattr(models, "_gradient_descent", recording)
+        self.grid_cells(workspace, capsys)
+        assert streams == [[ModelKind.LR, ModelKind.SVM]] * len(DocMode)
+
+    @pytest.mark.parametrize(
+        "flags, message, cells",
+        [
+            # LR steps first on the shared stream and diverges in the first doc mode, before any cell is written.
+            (
+                ["--train.learning_rate", "1e200", "--train.l2_lambda", "1e-300"],
+                "lr training loss became non-finite at epoch 1",
+                [],
+            ),
+            # MNB is fitted after the LR cell of its doc mode is written.
+            (
+                ["--train.mnb_alpha", "1e308"],
+                "naive Bayes log-likelihoods are not finite with mnb_alpha 1e+308",
+                ["lr_per_class_concatenated"],
+            ),
+        ],
+    )
+    def test_numeric_failure_exits_4_keeping_the_cells_written_before(self, workspace, capsys, flags, message, cells):
+        with np.errstate(over="ignore"):  # ||V||^2 overflows on the way to the loss check
+            code, out, err = run(["grid", "--config", workspace / "cfg.ini", *self.EPOCHS, *flags], capsys)
+        assert (code, out, err) == (4, "", f"numeric error: {message}\n")
+        grid_dir = workspace / "out" / "grid"
+        written = sorted(path.name for path in grid_dir.iterdir()) if grid_dir.exists() else []
+        assert written == cells
+        for cell in cells:
+            assert sorted(os.listdir(grid_dir / cell)) == ["manifest.txt", "model.txt", "tfidf.txt"]
+
     def test_formats_each_doc_modes_tfidf_once(self, workspace, capsys, monkeypatch):
         formatted = []
 

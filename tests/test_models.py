@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from codemix.models import (
     _format_row,
     _gradient_descent,
     fit,
+    fit_all,
     format_model,
     load_model,
     mnb_parameters,
@@ -168,7 +170,7 @@ class TestLogisticRegression:
         probs = []
         for epochs in (1, 2, 4, 8, 16):
             cfg = TrainConfig(model_kind=ModelKind.LR, l2_lambda=0.0, learning_rate=0.5, epochs=epochs, batch_size=4)
-            W, b = _gradient_descent(X, y, 3, cfg, _SCORE_LOSS[ModelKind.LR])
+            W, b = _gradient_descent(X, y, 3, [cfg])[0]
             logits = np.asarray(X[:1] @ W.T)[0] + b
             exp = np.exp(logits - logits.max())
             probs.append(exp[0] / exp.sum())
@@ -247,6 +249,11 @@ def sparse_problems(draw):
     return X, rng.integers(0, 3, size=n)
 
 
+# (learning rate, l2_lambda): lr * lambda = 1 wipes W out at each step and 2 flips its sign, so s hits
+# 0 or goes negative and is folded into V.
+RATES = [(0.5, 0.0), (0.05, 1e-4), (0.5, 0.1), (0.5, 2.0), (1.0, 1.0), (1.0, 2.0), (0.1, 3.0)]
+
+
 class TestSparseStepMatchesDenseOracle:
     """_gradient_descent keeps W = s * V and updates only the batch's columns; the
     frozen dense step in oracles.py is the reference."""
@@ -254,8 +261,7 @@ class TestSparseStepMatchesDenseOracle:
     @given(
         problem=sparse_problems(),
         kind=st.sampled_from([ModelKind.LR, ModelKind.SVM]),
-        # lr * lambda = 1 wipes W out at each step and 2 flips its sign: s hits 0 or goes negative.
-        rates=st.sampled_from([(0.5, 0.0), (0.05, 1e-4), (0.5, 0.1), (0.5, 2.0), (1.0, 1.0), (1.0, 2.0), (0.1, 3.0)]),
+        rates=st.sampled_from(RATES),
         epochs=st.integers(1, 3),
         batch_size=st.integers(1, 25),
         seed=st.integers(0, 1000),
@@ -278,7 +284,7 @@ class TestSparseStepMatchesDenseOracle:
             frozen = oracles.frozen_softmax_cross_entropy
         else:
             frozen = oracles.frozen_ovr_hinge_objective
-        W, b = _gradient_descent(X, y, 3, cfg, _SCORE_LOSS[kind])
+        W, b = _gradient_descent(X, y, 3, [cfg])[0]
         W_ref, b_ref = oracles.frozen_gradient_descent(X, y, 3, cfg, frozen)
         assert W.shape == W_ref.shape
         assert np.abs(W - W_ref).max() <= 1e-12
@@ -292,7 +298,7 @@ class TestSparseStepMatchesDenseOracle:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
             oracles.frozen_gradient_descent(X, y_idx, 3, cfg, oracles.frozen_ovr_hinge_objective)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
-            _gradient_descent(X, y_idx, 3, cfg, _SCORE_LOSS[ModelKind.SVM])
+            _gradient_descent(X, y_idx, 3, [cfg])
 
     @pytest.mark.parametrize("objective", [softmax_cross_entropy, ovr_hinge_objective])
     def test_objectives_match_frozen(self, objective):
@@ -306,6 +312,85 @@ class TestSparseStepMatchesDenseOracle:
             W, b, lam = rng.normal(size=(3, 10)), rng.normal(size=3), float(rng.uniform(0, 0.1))
             for got, expected in zip(objective(W, b, csr(X), y, lam), frozen(W, b, csr(X), y, lam)):
                 assert np.array_equal(got, expected)
+
+
+class TestSharedStreamMatchesSoloStep:
+    """_gradient_descent advances one model per config over one batch stream and moves rows of V
+    as records; each model must equal, bit for bit, the one-model step frozen in oracles.py."""
+
+    @given(
+        problem=sparse_problems(),
+        # The learning rate None takes each kind's own default.
+        specs=st.lists(
+            st.tuples(st.sampled_from([ModelKind.LR, ModelKind.SVM]), st.sampled_from(RATES + [(None, 1e-4)])),
+            min_size=1,
+            max_size=3,
+        ),
+        epochs=st.integers(1, 3),
+        size=st.integers(1, 25),
+        seed=st.integers(0, 1000),
+    )
+    @example(
+        problem=(csr([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), np.array([0, 1, 2])),
+        specs=[(ModelKind.LR, (1.0, 1.0)), (ModelKind.SVM, (0.5, 0.1))], epochs=2, size=1, seed=0,
+    )
+    @example(
+        problem=(csr([[0.0, 0.5], [1.0, 0.0], [0.0, 0.0]]), np.array([2, 1, 0])),
+        specs=[(ModelKind.LR, (None, 1e-4)), (ModelKind.SVM, (1.0, 2.0))], epochs=3, size=10, seed=1,
+    )
+    def test_each_model_equals_its_solo_frozen_step(self, problem, specs, epochs, size, seed):
+        X, y = problem
+        configs = [
+            TrainConfig(model_kind=kind, learning_rate=lr, l2_lambda=lam, epochs=epochs, batch_size=size, seed=seed)
+            for kind, (lr, lam) in specs
+        ]
+        trained = _gradient_descent(X, y, 3, configs)
+        assert len(trained) == len(configs)
+        for cfg, (W, b) in zip(configs, trained):
+            W_ref, b_ref = oracles.frozen_sparse_gradient_descent(X, y, 3, cfg, _SCORE_LOSS[cfg.model_kind])
+            assert W.flags.c_contiguous and W.shape == W_ref.shape
+            assert np.array_equal(W, W_ref)
+            assert np.array_equal(b, b_ref)
+
+    @pytest.mark.parametrize(
+        "rates, message",
+        [
+            # Both diverge at the first check after a step: the first config raises.
+            ([(1e200, 1e-300), (1e200, 1e-300)], "lr training loss became non-finite at epoch 1"),
+            # Only the SVM diverges; it raises in the batch where its own fit does.
+            ([(0.1, 1e-4), (1e200, 1e-300)], "svm training loss became non-finite at epoch 1"),
+        ],
+    )
+    def test_first_diverging_model_raises_at_its_solo_step(self, rates, message):
+        X, y = separable_points()
+        y_idx = np.array([int(label) for label in y])
+        configs = [
+            TrainConfig(model_kind=kind, learning_rate=lr, l2_lambda=lam, epochs=2, batch_size=1)
+            for kind, (lr, lam) in zip([ModelKind.LR, ModelKind.SVM], rates)
+        ]
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"^{message}$"):
+            _gradient_descent(X, y_idx, 3, configs)
+        diverging = configs[0] if rates[0][0] > 1 else configs[1]
+        solo_message = "^training loss became non-finite at epoch 1$"
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=solo_message):
+            oracles.frozen_sparse_gradient_descent(X, y_idx, 3, diverging, _SCORE_LOSS[diverging.model_kind])
+
+    @pytest.mark.parametrize("field, value", [("seed", 1), ("epochs", 2), ("batch_size", 5)])
+    def test_models_on_one_stream_share_its_settings(self, field, value):
+        X, y = separable_points()
+        lr = TrainConfig(model_kind=ModelKind.LR, epochs=1)
+        svm = dataclasses.replace(lr, model_kind=ModelKind.SVM, **{field: value})
+        with pytest.raises(ConfigError, match="share seed, epochs and batch_size"):
+            fit_all(X, y, [lr, svm])
+
+    def test_fit_all_equals_one_fit_per_config(self):
+        X, y = separable_points()
+        configs = [TrainConfig(model_kind=kind, epochs=4, batch_size=2, seed=3) for kind in ModelKind]
+        for joint, cfg in zip(fit_all(X, y, configs), configs):
+            solo = fit(X, y, cfg)
+            assert (joint.kind, joint.alpha) == (solo.kind, solo.alpha)
+            assert np.array_equal(joint.weights, solo.weights)
+            assert np.array_equal(joint.bias, solo.bias)
 
 
 class TestFitValidation:
@@ -472,9 +557,16 @@ class TestPersistence:
         model = self.fitted(ModelKind.LR)
         assert format_model(model).splitlines()[0] == "model v1 lr 3"
 
-    @given(st.lists(st.floats(), min_size=1, max_size=20))
+    # The second strategy draws rows from a few values, so most of a row repeats, as in a fitted model.
+    @given(
+        st.lists(st.floats(), min_size=1, max_size=20)
+        | st.lists(st.floats(), min_size=1, max_size=4).flatmap(lambda few: st.lists(st.sampled_from(few), max_size=40))
+    )
     @example([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308])
     @example([1.0, -3.0, 2.0**53, 1e16, 0.1])
+    @example([0.0, -0.0, 0.0, -0.0, -0.0, 0.0])
+    @example([0.1, -0.0, 0.1, 0.1, 0.0, 0.1, -0.0, 0.30000000000000004, 0.1])
+    @example([])
     def test_row_text_equals_per_value_format(self, values):
         row = np.asarray(values, dtype=np.float64)
         assert _format_row(row) == " ".join(f"{value:.17g}" for value in row)

@@ -1,10 +1,14 @@
+import math
+import operator
 import random
 import string
 import tracemalloc
+from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -17,6 +21,7 @@ from codemix.vectorize import (
     AnalyzerKind,
     DocMode,
     Vocabulary,
+    _tfidf,
     count_terms,
     fit_tfidf,
     fit_transform,
@@ -333,9 +338,9 @@ def assert_rows_match_frozen_path(model, matrix, texts):
     rows = [oracles.frozen_transform(model, text) for text in texts]
     assert np.diff(matrix.indptr).tolist() == [len(indices) for indices, _ in rows]
     assert matrix.indices.tolist() == [i for indices, _ in rows for i in indices]
-    # Same operations in the same order (math.log idf, Python's sum of squares
-    # over each row in index order), so the weights are equal, not merely
-    # within 1e-12.
+    # Same operations in the same order (math.log idf, a left-to-right sum of
+    # squares over each row in index order), so the weights are equal, not
+    # merely within 1e-12.
     assert matrix.data.tolist() == [w for _, weights in rows for w in weights]
 
 
@@ -385,6 +390,33 @@ def shuffled_term_lines(text):
     header, *lines = text.splitlines()
     random.Random(3).shuffle(lines)
     return "\n".join([header, *lines]) + "\n"
+
+
+class TestRowNorms:
+    """_tfidf divides each row by the root of its squares summed left to right in index order,
+    functools.reduce's arithmetic: Python's sum compensates from 3.12 on, and gives other bits."""
+
+    # Six squares of 1.1 summed left to right are 7.260000000000001; exactly rounded, 7.260000000000002.
+    SIX_ELEVENS = [1.1] * 6
+
+    @given(st.lists(st.lists(st.floats(0.01, 100.0), max_size=12), min_size=1, max_size=6))
+    @example([SIX_ELEVENS, []])
+    @example([[], [3.0], SIX_ELEVENS[:3]])
+    def test_rows_are_divided_by_the_sequential_norm(self, rows):
+        # One feature per entry, counted once, with its weight as idf.
+        idf = np.array([weight for row in rows for weight in row])
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        counts = sparse.csr_matrix(
+            (np.ones(idf.size, dtype=np.int32), np.arange(idf.size), indptr), shape=(len(rows), idf.size)
+        )
+        model = SimpleNamespace(word_vocab=SimpleNamespace(idf=idf), char_vocab=SimpleNamespace(idf=np.empty(0)))
+        norms = [math.sqrt(reduce(operator.add, (weight * weight for weight in row), 0.0)) for row in rows]
+        assert _tfidf(model, counts).data.tolist() == [w / norm for row, norm in zip(rows, norms) for w in row]
+
+    def test_example_row_tells_the_sums_apart(self):
+        squares = [weight * weight for weight in self.SIX_ELEVENS]
+        assert reduce(operator.add, squares, 0.0) != math.fsum(squares)
+        assert 1.1 / math.sqrt(reduce(operator.add, squares, 0.0)) != 1.1 / math.sqrt(math.fsum(squares))
 
 
 class TestIdf:
