@@ -167,9 +167,9 @@ class _SgdState:
         if self.s < 1e-9:  # the decay wiped out or flipped W: fold s into V rather than divide by it
             self.V *= self.s
             block *= self.s
-            self.s, self.sq_norm = 1.0, float(np.sum(self.V * self.V))
+            self.s, self.sq_norm = 1.0, float(np.vdot(self.V, self.V))
         updated = block - (self.lr / self.s) * (local_t @ grad_scores)
-        self.sq_norm += float(np.sum(updated * updated)) - float(np.sum(block * block))
+        self.sq_norm += float(np.vdot(updated, updated)) - float(np.vdot(block, block))
         self.records.put(columns, updated.view(self.records.dtype).reshape(-1))
         self.b -= self.lr * grad_scores.sum(axis=0)
 

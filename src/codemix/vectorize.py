@@ -182,11 +182,12 @@ def _count_levels(
     """The vocabulary of texts (vocab itself if given) and their term counts as one canonical CSR part
     (int32 counts, int32 columns + offset, indptr) per n-gram length.
 
-    The n-gram at position p gets the dense rank of (rank of the (n-1)-gram at p, rank of unit p+n-1)
-    over the positions where it fits inside its text: the rank-pair step of suffix-array prefix
-    doubling (Manber & Myers 1993), extended one unit at a time.  Ranks follow str order within a
-    length, and only one occurrence of each distinct n-gram is decoded to a string: a fit sorts these
-    and numbers terms in lexicographic order, a transform looks them up and drops unknown ones.
+    The n-gram at position p gets the dense rank, by np.unique, of (rank of the (n-1)-gram at p, rank
+    of unit p+n-1) over the positions where it fits inside its text: the rank-pair step of suffix-array
+    prefix doubling (Manber & Myers 1993), extended one unit at a time.  Ranks follow str order within
+    a length, and only one occurrence of each distinct n-gram is decoded to a string.  Then a fit sorts
+    these strings and numbers terms in lexicographic order, a transform looks them up, and one loop maps
+    each level's ranks to columns, dropping unknown ones.
     """
     units, sizes, symbols, n_symbols = _symbols(texts, analyzer.kind)
     n_texts, n_units = len(texts), len(symbols)
@@ -194,9 +195,8 @@ def _count_levels(
     room = np.repeat(np.cumsum(sizes, dtype=position), sizes)  # units from each position to its text's end
     room -= np.arange(n_units, dtype=position)
     text_of = np.repeat(np.arange(n_texts, dtype=np.int32), sizes)
-    fitting = vocab is None
-    grams: list[str] = []  # a fit's distinct n-grams, level by level
-    parts = []  # per level: counts, then ranks, indptr and first gram (a fit) or columns and indptr (a transform)
+    grams: list[str] = []  # the distinct n-grams, level by level
+    parts = []  # per level: counts, ranks, indptr and the index of the level's first n-gram in grams
     rank, width = symbols.copy(), n_symbols  # the n-gram rank at each position where it fits; distinct n-grams
     # Every array is dropped right after its last use: the level temporaries, not the counts, set the
     # peak memory, and keeping any one of them longer raised a 12k-tweet train's peak RSS by 30-40 MB.
@@ -206,18 +206,9 @@ def _count_levels(
             key = rank[fits].astype(_int_type(width * n_symbols))
             key *= n_symbols
             key += symbols[n - 1 :][fits]
-            order = key.argsort()
-            key = key[order]
-            new = np.empty(len(key), bool)  # where each distinct n-gram starts in key order
-            new[:1] = True
-            np.not_equal(key[1:], key[:-1], out=new[1:])
-            del key
-            ranked = np.cumsum(new, dtype=np.int32)
-            ranked -= 1
-            width = np.count_nonzero(new)
-            del new
-            rank[fits[order]] = ranked
-            del order, ranked
+            distinct, rank[fits] = np.unique(key, return_inverse=True)  # sorted: ranks follow key order
+            width = len(distinct)
+            del key, distinct
         if n < analyzer.ngram_min:
             continue
         level = rank[fits]
@@ -232,34 +223,31 @@ def _count_levels(
         pairs, counts = np.unique(pair, return_counts=True)  # sorted by text, then rank
         del pair
         indptr = np.searchsorted(pairs, np.arange(n_texts + 1, dtype=pair_type) * width)
-        ranks = (pairs % width).astype(np.int32)
-        counts = counts.astype(np.int32)
-        del pairs
+        parts.append((counts.astype(np.int32), (pairs % width).astype(np.int32), indptr, len(grams)))
+        del pairs, counts
         pieces = map(units.__getitem__, map(slice, starts.tolist(), (starts + n).tolist()))
-        decoded = list(map(" ".join, pieces) if analyzer.kind is AnalyzerKind.WORD else pieces)
-        if fitting:
-            parts.append((counts, ranks, indptr, len(grams)))
-            grams += decoded
-            continue
-        columns = np.fromiter(map(vocab.term_index.get, decoded, repeat(-1)), np.int32, width)[ranks]
-        known = columns >= 0
+        grams += map(" ".join, pieces) if analyzer.kind is AnalyzerKind.WORD else pieces
+    del units, symbols, rank, room, text_of
+    fitting = vocab is None
+    if fitting:
+        order = sorted(range(len(grams)), key=grams.__getitem__)
+        column = np.empty(len(grams), np.int32)
+        column[order] = np.arange(len(grams), dtype=np.int32)
+        df = np.zeros(len(grams), np.int64)
+    else:
+        column = np.fromiter(map(vocab.term_index.get, grams, repeat(-1)), np.int32, len(grams))
+    for i, (counts, ranks, indptr, first) in enumerate(parts):
+        columns = column[ranks + first]  # a fit's rise with rank within a level, so each row stays sorted
+        known = columns >= 0  # all of a fit's; a transform drops the n-grams its vocabulary lacks
         indptr = np.concatenate(([0], np.cumsum(known)))[indptr]
         columns = columns[known]
+        if fitting:
+            df += np.bincount(columns, minlength=len(grams))
         columns += offset
-        parts.append((counts[known], columns, indptr))
-    del units, symbols, rank, room, text_of
-    if not fitting:
-        return vocab, parts
-    order = sorted(range(len(grams)), key=grams.__getitem__)
-    column = np.empty(len(grams), np.int32)
-    column[order] = np.arange(len(grams), dtype=np.int32)
-    df = np.zeros(len(grams), np.int64)
-    for i, (counts, ranks, indptr, first) in enumerate(parts):
-        columns = column[ranks + first]  # rising with rank within a level, so each row stays sorted
-        df += np.bincount(columns, minlength=len(grams))
-        columns += offset
-        parts[i] = counts, columns, indptr
-    return Vocabulary(tuple(map(grams.__getitem__, order)), tuple(df.tolist()), n_texts), parts
+        parts[i] = counts[known], columns, indptr
+    if fitting:
+        vocab = Vocabulary(tuple(map(grams.__getitem__, order)), tuple(df.tolist()), n_texts)
+    return vocab, parts
 
 
 def count_terms(

@@ -297,7 +297,7 @@ class TestSparseStepMatchesDenseOracle:
         cfg = TrainConfig(model_kind=ModelKind.SVM, l2_lambda=1e-300, learning_rate=1e200, epochs=1, batch_size=1)
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
             oracles.frozen_gradient_descent(X, y_idx, 3, cfg, oracles.frozen_ovr_hinge_objective)
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch 1"):
+        with pytest.raises(NumericError, match="epoch 1"):
             _gradient_descent(X, y_idx, 3, [cfg])
 
     @pytest.mark.parametrize("objective", [softmax_cross_entropy, ovr_hinge_objective])
@@ -368,7 +368,7 @@ class TestSharedStreamMatchesSoloStep:
             TrainConfig(model_kind=kind, learning_rate=lr, l2_lambda=lam, epochs=2, batch_size=1)
             for kind, (lr, lam) in zip([ModelKind.LR, ModelKind.SVM], rates)
         ]
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"^{message}$"):
+        with pytest.raises(NumericError, match=f"^{message}$"):
             _gradient_descent(X, y_idx, 3, configs)
         diverging = configs[0] if rates[0][0] > 1 else configs[1]
         solo_message = "^training loss became non-finite at epoch 1$"

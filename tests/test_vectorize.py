@@ -129,8 +129,10 @@ class TestFitVocabulary:
 
     def test_counting_streams_the_grams_of_a_long_document(self):
         # Holding a text's n-grams in a list peaks at about 90 traced bytes per occurrence (a
-        # pointer and a string each); streaming them peaked at 20 to 28, mostly the ids, and the
-        # array counter peaks at about 18, mostly its int32 ranks and one level's temporaries.
+        # pointer and a string each); streaming them peaked at 20 to 28, mostly the ids.  The array
+        # counter peaked at 14.0 (fit) and 13.7 (transform) with a hand-rolled rank step, and at 18.3
+        # for both with np.unique, whose argsort and inverse are intp: its int32 ranks and one level's
+        # temporaries.
         rng = random.Random(7)
         words = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 9))) for _ in range(100)]
         doc = " ".join(rng.choices(words, k=10_000))
