@@ -7,13 +7,10 @@ predictions with macro-averaged F1.
 """
 
 from .corpus import (
-    ClassDistribution,
     Dataset,
     LangTag,
     Sentiment,
-    Token,
     Tweet,
-    class_distribution,
     concat_datasets,
     format_conll,
     parse_conll,
@@ -47,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Analyzer",
     "AnalyzerKind",
-    "ClassDistribution",
     "CodemixError",
     "ConfigError",
     "ConfusionMatrix",
@@ -65,11 +61,9 @@ __all__ = [
     "PipelineConfig",
     "Sentiment",
     "TfIdfModel",
-    "Token",
     "TrainConfig",
     "Tweet",
     "Vocabulary",
-    "class_distribution",
     "comparison_grid",
     "concat_datasets",
     "default_lexicon",

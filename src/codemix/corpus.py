@@ -1,21 +1,30 @@
 """Corpus handling: language-tagged tweets, file parsing, dataset operations.
 
-Labeled tweets are stored in a plain-text block format:
+Labeled tweets are stored in a plain-text block format.  parse_conll
+enforces exactly this grammar:
 
-    meta <id> [<sentiment>]
-    <token>\t<lang_tag>
-    ...
+- Lines end at "\\n" (a stream yields its own lines) and lose any trailing
+  "\\r" and "\\n" characters, so "\\r\\n" ends read like "\\n", while
+  "\\x0b", "\\x85" and "\\u2028" stay inside their line.
+- Empty and whitespace-only (str.isspace) lines separate blocks; any number
+  of them may stand before, between and after the blocks.
+- A block's first line is "meta <id> [<sentiment>]", split on whitespace,
+  with the label matched case-insensitively.  Each further line is
+  "<token>\\t<lang_tag>": a non-empty token without "\\r" or "\\n" (spaces
+  are allowed), one tab and a LangTag value, matched exactly.  A block has
+  at least one token line, and no two blocks share an id.
 
-with blocks separated by one blank line.  Auxiliary monolingual data is
-read from RFC-4180 CSV files with a mandatory header row.
+A violation raises ParseError with the number of the first bad line; a
+shared id raises DataError once the whole source is read.  Auxiliary
+monolingual data is read from RFC-4180 CSV files with a mandatory header row.
 """
 
 import csv
 import enum
 import io
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
-from itertools import groupby
+from dataclasses import dataclass, field, replace
+from itertools import chain
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -60,33 +69,31 @@ class LangTag(enum.Enum):
             raise DataError(f"unknown language tag {tag!r}") from None
 
 
-@dataclass(frozen=True)
-class Token:
-    text: str
-    lang: LangTag
-
-    def __post_init__(self):
-        if not self.text:
-            raise DataError("token text must be non-empty")
-        if any(ch in self.text for ch in "\t\n\r"):
-            raise DataError(f"token text may not contain tabs or newlines: {self.text!r}")
+_LANG_OF = {tag.value: tag for tag in LangTag}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tweet:
+    """A tweet's tokens with one language tag each; text is the tokens joined by single spaces."""
+
     id: str
-    tokens: tuple[Token, ...]
+    tokens: tuple[str, ...]
+    tags: tuple[LangTag, ...]
     sentiment: Sentiment | None = None
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
         if not self.tokens:
             raise DataError(f"tweet {self.id!r} has no tokens")
-
-    @property
-    def text(self) -> str:
-        """Surface text: token texts joined by single spaces."""
-        return " ".join(token.text for token in self.tokens)
+        if len(self.tags) != len(self.tokens):
+            raise DataError(f"tweet {self.id!r} has {len(self.tokens)} tokens but {len(self.tags)} tags")
+        if "" in self.tokens:
+            raise DataError("token text must be non-empty")
+        text = " ".join(self.tokens)
+        if "\t" in text or "\n" in text or "\r" in text:
+            bad = next(token for token in self.tokens if "\t" in token or "\n" in token or "\r" in token)
+            raise DataError(f"token text may not contain tabs or newlines: {bad!r}")
+        object.__setattr__(self, "text", text)
 
 
 @dataclass(frozen=True)
@@ -114,12 +121,6 @@ class Dataset:
         return self.tweets[index]
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    counts: dict[Sentiment, int]
-    total: int
-
-
 def _parse_meta(line: str, line_no: int) -> tuple[str, Sentiment | None]:
     parts = line.split()
     if parts[:1] != ["meta"] or len(parts) not in (2, 3):
@@ -133,33 +134,45 @@ def _parse_meta(line: str, line_no: int) -> tuple[str, Sentiment | None]:
     return parts[1], sentiment
 
 
-def _parse_token_line(line: str, line_no: int) -> Token:
+def _token_line_error(line: str, line_no: int) -> ParseError:
+    """Why a token line is refused, checked in the grammar's order: its shape, its tag, its token."""
     parts = line.split("\t")
     if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise ParseError(f"malformed token line {line!r}", line=line_no)
-    text, tag = parts
+        return ParseError(f"malformed token line {line!r}", line=line_no)
     try:
-        return Token(text=text, lang=LangTag.from_tag(tag))
+        LangTag.from_tag(parts[1])
     except DataError as exc:
-        raise ParseError(str(exc), line=line_no) from None
+        return ParseError(str(exc), line=line_no)
+    return ParseError(f"token text may not contain tabs or newlines: {parts[0]!r}", line=line_no)
 
 
 def parse_conll(source: str | Iterable[str], name: str = "dataset") -> Dataset:
-    """Parse block-format tweets from a string or a stream of lines."""
-    # Split on \n only: str.splitlines() also breaks on codepoints like
-    # \x0b that are legal inside token text.
-    lines = source.split("\n") if isinstance(source, str) else source
-    numbered = enumerate((raw.rstrip("\r\n") for raw in lines), start=1)
+    """Parse block-format tweets from a string or a stream of lines, in one pass."""
     tweets: list[Tweet] = []
-    for blank, block in groupby(numbered, key=lambda item: not item[1].strip()):
-        if blank:
-            continue
-        (meta_line, meta), *token_lines = block
-        tweet_id, sentiment = _parse_meta(meta, meta_line)
-        tokens = tuple(_parse_token_line(line, line_no) for line_no, line in token_lines)
-        if not tokens:
-            raise ParseError(f"tweet {tweet_id!r} has no token lines", line=meta_line)
-        tweets.append(Tweet(id=tweet_id, tokens=tokens, sentiment=sentiment))
+    meta = None  # (line number, id, sentiment) of the block being read
+    tokens: list[str] = []
+    tags: list[LangTag] = []
+    # A trailing blank line ends the last block.  Split on "\n" only: str.splitlines() also breaks
+    # on codepoints like "\x0b" that are legal inside token text.
+    lines = source.split("\n") if isinstance(source, str) else source
+    for line_no, raw in enumerate(chain(lines, [""]), start=1):
+        line = raw.rstrip("\r\n")
+        if not line or line.isspace():
+            if meta is not None:
+                meta_line, tweet_id, sentiment = meta
+                if not tokens:
+                    raise ParseError(f"tweet {tweet_id!r} has no token lines", line=meta_line)
+                tweets.append(Tweet(tweet_id, tuple(tokens), tuple(tags), sentiment))
+                meta, tokens, tags = None, [], []
+        elif meta is None:
+            meta = (line_no, *_parse_meta(line, line_no))
+        else:
+            token, _, tag = line.partition("\t")
+            lang = _LANG_OF.get(tag)
+            if lang is None or not token or "\r" in token or "\n" in token:
+                raise _token_line_error(line, line_no)
+            tokens.append(token)
+            tags.append(lang)
     return Dataset(name=name, tweets=tuple(tweets))
 
 
@@ -170,7 +183,7 @@ def format_conll(dataset: Dataset) -> str:
         meta = f"meta {tweet.id}"
         if tweet.sentiment is not None:
             meta += f" {tweet.sentiment.label}"
-        lines = [meta] + [f"{token.text}\t{token.lang.value}" for token in tweet.tokens]
+        lines = [meta] + [f"{token}\t{tag.value}" for token, tag in zip(tweet.tokens, tweet.tags)]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
@@ -203,28 +216,15 @@ def parse_monolingual_csv(
         words = (row[text_column] or "").split()
         if not words:
             raise DataError(f"row {index}: empty text")
-        tokens = tuple(Token(text=word, lang=lang) for word in words)
-        tweets.append(Tweet(id=str(index), tokens=tokens, sentiment=sentiment))
+        tweets.append(Tweet(str(index), tuple(words), (lang,) * len(words), sentiment))
     return Dataset(name=name, tweets=tuple(tweets))
-
-
-def class_distribution(dataset: Dataset) -> ClassDistribution:
-    """Per-class tweet counts; every tweet must be labeled."""
-    counts = {sentiment: 0 for sentiment in Sentiment}
-    for tweet in dataset:
-        if tweet.sentiment is None:
-            raise DataError(f"tweet {tweet.id!r} has no sentiment label")
-        counts[tweet.sentiment] += 1
-    return ClassDistribution(counts=counts, total=len(dataset))
 
 
 def require_labels(dataset: Dataset) -> list[Sentiment]:
     """Gold labels in dataset order; fails on the first unlabeled tweet."""
-    labels = []
-    for tweet in dataset:
-        if tweet.sentiment is None:
-            raise DataError(f"tweet {tweet.id!r} has no sentiment label")
-        labels.append(tweet.sentiment)
+    labels = [tweet.sentiment for tweet in dataset]
+    if None in labels:
+        raise DataError(f"tweet {dataset[labels.index(None)].id!r} has no sentiment label")
     return labels
 
 

@@ -6,18 +6,19 @@ collapsing, hashtag segmentation, non-ASCII removal.  Non-ASCII removal
 runs last so emoji are textualized before they could be stripped.  Every
 rule returns single-space-separated text with no leading or trailing
 whitespace, which makes each rule (and the whole pipeline) idempotent.
+A pass runs a rule only where an exact test says it could change the text.
 """
 
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from itertools import groupby
 
 from .errors import ConfigError
 
 _LEXICON_RESOURCE = "data/emoticons.tsv"
-_default_lexicon_cache = None
 _MAX_RUN = 4294967295  # re compiles a repeat count {n,} only up to this minus 1
 
 
@@ -37,17 +38,23 @@ class EmojiLexicon:
         self._entries = dict(entries)
         # Longest keys first: the first alternative that matches at a position is the longest key
         # there (equal-length keys cannot both match).  The lookahead, a bitmap for ASCII plus one
-        # range, cheaply skips the positions no key can start at.
+        # range, cheaply skips the positions no key can start at.  ASCII text can hold only ASCII
+        # keys, and re's own first-character test suits the pattern of those alone.
         keys = sorted(self._entries, key=len, reverse=True)
         starts = "".join(re.escape(key[0]) for key in keys if key[0].isascii())
         alternatives = "|".join(map(re.escape, keys)) or "(?!)"  # an empty lexicon matches nothing
-        self.pattern = re.compile(rf"(?=[{starts}\x80-\U0010FFFF])(?:{alternatives})")
+        self._pattern = re.compile(rf"(?=[{starts}\x80-\U0010FFFF])(?:{alternatives})")
+        self._ascii_pattern = re.compile("|".join(re.escape(key) for key in keys if key.isascii()) or "(?!)")
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def name_of(self, key: str) -> str:
         return self._entries[key]
+
+    def pattern_for(self, text: str) -> re.Pattern:
+        """The pattern that finds the lexicon's keys in text: the ASCII keys' own if text is ASCII."""
+        return self._ascii_pattern if text.isascii() else self._pattern
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], origin: str = "<lexicon>") -> "EmojiLexicon":
@@ -70,13 +77,11 @@ class EmojiLexicon:
             return cls.from_lines(handle, origin=str(path))
 
 
+@lru_cache(maxsize=None)
 def default_lexicon() -> EmojiLexicon:
     """The bundled lexicon: CLDR-style emoji names plus ASCII emoticons."""
-    global _default_lexicon_cache
-    if _default_lexicon_cache is None:
-        text = resources.files(__package__).joinpath(_LEXICON_RESOURCE).read_text("utf-8")
-        _default_lexicon_cache = EmojiLexicon.from_lines(text.splitlines(), origin=_LEXICON_RESOURCE)
-    return _default_lexicon_cache
+    text = resources.files(__package__).joinpath(_LEXICON_RESOURCE).read_text("utf-8")
+    return EmojiLexicon.from_lines(text.splitlines(), origin=_LEXICON_RESOURCE)
 
 
 @dataclass(frozen=True)
@@ -93,22 +98,10 @@ class PipelineConfig:
         if not 2 <= self.elongation_min_run <= _MAX_RUN:
             raise ConfigError(f"elongation_min_run must be between 2 and {_MAX_RUN}")
 
-    @classmethod
-    def identity(cls) -> "PipelineConfig":
-        """All rules off; running the pipeline only normalizes whitespace."""
-        return cls(
-            replace_emoji=False,
-            remove_mentions=False,
-            replace_urls=False,
-            collapse_elongation=False,
-            segment_hashtags=False,
-            remove_non_ascii=False,
-        )
-
 
 def replace_emoji(text: str, lexicon: EmojiLexicon) -> str:
     """Replace every lexicon match with its textual name, longest match first."""
-    return _squash(lexicon.pattern.sub(lambda match: f" {lexicon.name_of(match.group())} ", text))
+    return _squash(lexicon.pattern_for(text).sub(lambda match: f" {lexicon.name_of(match.group())} ", text))
 
 
 def remove_mentions(text: str) -> str:
@@ -143,6 +136,12 @@ def replace_urls(text: str) -> str:
     return " ".join("URL" if _is_url(token) else token for token in text.split())
 
 
+@lru_cache(maxsize=32)
+def _run_pattern(min_run: int, ascii_only: bool) -> re.Pattern:
+    # On ASCII text, re.ASCII matches the same letters and folds their case the same way, faster.
+    return re.compile(rf"([^\W\d_])\1{{{min_run - 1},}}", re.IGNORECASE | (re.ASCII if ascii_only else 0))
+
+
 def collapse_elongation(text: str, min_run: int = 3) -> str:
     """Reduce runs of >= min_run identical letters to a single letter.
 
@@ -158,7 +157,7 @@ def collapse_elongation(text: str, min_run: int = 3) -> str:
         runs = ("".join(run) for _, run in groupby(match.group(), str.lower))
         return "".join(run[0] if len(run) >= min_run and run[0].isalpha() else run for run in runs)
 
-    return _squash(re.sub(rf"([^\W\d_])\1{{{min_run - 1},}}", collapse, text, flags=re.IGNORECASE))
+    return _squash(_run_pattern(min_run, text.isascii()).sub(collapse, text))
 
 
 _HASHTAG_BOUNDARY = re.compile(
@@ -201,20 +200,22 @@ def segment_hashtags(text: str) -> str:
     return " ".join(out)
 
 
-def _pipeline_pass(text: str, config: PipelineConfig, lexicon: EmojiLexicon | None) -> str:
-    if config.replace_emoji:
-        text = replace_emoji(text, lexicon if lexicon is not None else default_lexicon())
-    if config.remove_mentions:
+def _pipeline_pass(text: str, config: PipelineConfig, lexicon: EmojiLexicon) -> str:
+    # text is squashed, and so is what every rule returns.  On squashed text each test below is
+    # false only where its rule would return the text unchanged.
+    if config.replace_emoji and lexicon.pattern_for(text).search(text):
+        text = replace_emoji(text, lexicon)
+    if config.remove_mentions and "@" in text:
         text = remove_mentions(text)
-    if config.replace_urls:
+    if config.replace_urls and ("." in text or ":" in text):  # as in _is_url
         text = replace_urls(text)
-    if config.collapse_elongation:
+    if config.collapse_elongation and _run_pattern(config.elongation_min_run, text.isascii()).search(text):
         text = collapse_elongation(text, config.elongation_min_run)
-    if config.segment_hashtags:
+    if config.segment_hashtags and "#" in text:
         text = segment_hashtags(text)
-    if config.remove_non_ascii:
+    if config.remove_non_ascii and not text.isascii():
         text = remove_non_ascii(text)
-    return _squash(text)
+    return text
 
 
 def run_pipeline(text: str, config: PipelineConfig, lexicon: EmojiLexicon | None = None) -> str:
@@ -228,6 +229,7 @@ def run_pipeline(text: str, config: PipelineConfig, lexicon: EmojiLexicon | None
     matches, '@'/'#'/URL tokens, letter runs), so the bound below is never
     reached in practice.
     """
+    lexicon = default_lexicon() if lexicon is None else lexicon
     previous = None
     current = _squash(text)
     for _ in range(max(8, len(current))):

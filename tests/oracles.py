@@ -10,22 +10,25 @@ per-vector TF-IDF transform, idf and per-row scorer, the dense
 gradient-descent step with its two objectives, the O(nnz) step of one model
 on its own batch stream, the per-character normalizer rules and the
 per-token URL rule, with the pipeline around them (which calls the
-library's two rules that kept their code: mentions and hashtags), and the
+library's two rules that kept their code: mentions and hashtags), the
 per-occurrence n-gram counter (which reads each text's n-grams from the
-library's Analyzer.terms).
+library's Analyzer.terms) and the line-by-line block parser with one Token
+object per token line (which builds the library's Tweet and Dataset).
 """
 
 import math
 import operator
 import re
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import groupby
 
 import numpy as np
 from scipy import sparse
 
-from codemix.corpus import Sentiment
-from codemix.errors import ConfigError, NumericError
+from codemix.corpus import Dataset, LangTag, Sentiment, Tweet
+from codemix.errors import ConfigError, DataError, NumericError, ParseError
 from codemix.preprocess import remove_mentions, segment_hashtags
 from codemix.vectorize import Vocabulary
 
@@ -401,3 +404,58 @@ def frozen_run_pipeline(text, config, entries):
         previous = current
         current = one_pass(current)
     return current
+
+
+@dataclass(frozen=True)
+class _FrozenToken:
+    text: str
+    lang: LangTag
+
+    def __post_init__(self):
+        if not self.text:
+            raise DataError("token text must be non-empty")
+        if any(ch in self.text for ch in "\t\n\r"):
+            raise DataError(f"token text may not contain tabs or newlines: {self.text!r}")
+
+
+def _frozen_parse_meta(line, line_no):
+    parts = line.split()
+    if parts[:1] != ["meta"] or len(parts) not in (2, 3):
+        raise ParseError(f"malformed meta line {line!r}", line=line_no)
+    sentiment = None
+    if len(parts) == 3:
+        try:
+            sentiment = Sentiment.from_label(parts[2])
+        except DataError as exc:
+            raise ParseError(str(exc), line=line_no) from None
+    return parts[1], sentiment
+
+
+def _frozen_parse_token_line(line, line_no):
+    parts = line.split("\t")
+    if len(parts) != 2 or not parts[0] or not parts[1]:
+        raise ParseError(f"malformed token line {line!r}", line=line_no)
+    text, tag = parts
+    try:
+        return _FrozenToken(text=text, lang=LangTag.from_tag(tag))
+    except DataError as exc:
+        raise ParseError(str(exc), line=line_no) from None
+
+
+def frozen_parse_conll(source, name="dataset"):
+    """The line-by-line block parser with one Token object per token line; it builds the library's types."""
+    lines = source.split("\n") if isinstance(source, str) else source
+    numbered = enumerate((raw.rstrip("\r\n") for raw in lines), start=1)
+    tweets = []
+    for blank, block in groupby(numbered, key=lambda item: not item[1].strip()):
+        if blank:
+            continue
+        (meta_line, meta), *token_lines = block
+        tweet_id, sentiment = _frozen_parse_meta(meta, meta_line)
+        tokens = tuple(_frozen_parse_token_line(line, line_no) for line_no, line in token_lines)
+        if not tokens:
+            raise ParseError(f"tweet {tweet_id!r} has no token lines", line=meta_line)
+        tweets.append(
+            Tweet(tweet_id, tuple(token.text for token in tokens), tuple(token.lang for token in tokens), sentiment)
+        )
+    return Dataset(name=name, tweets=tuple(tweets))

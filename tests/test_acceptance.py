@@ -10,6 +10,7 @@ import math
 import os
 import random
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,16 +19,7 @@ from scipy import sparse
 import oracles
 import synth
 from codemix import cli
-from codemix.corpus import (
-    Dataset,
-    LangTag,
-    Sentiment,
-    Token,
-    Tweet,
-    class_distribution,
-    format_conll,
-    parse_conll,
-)
+from codemix.corpus import Dataset, Sentiment, format_conll, parse_conll, require_labels
 from codemix.evaluation import score
 from codemix.models import ModelKind, TrainConfig, fit, ovr_hinge_objective
 from codemix.preprocess import (
@@ -88,11 +80,7 @@ def test_tfidf_matches_dense_oracle_on_random_corpora():
     for corpus_index in range(200):
         texts, char_analyzer = _random_corpus(rng)
         tweets = tuple(
-            Tweet(
-                id=str(i),
-                tokens=(Token(text if text else "pad", LangTag.LANG1),),
-                sentiment=Sentiment(i % 3),
-            )
+            synth.make_tweet(str(i), [text if text else "pad"], Sentiment(i % 3))
             for i, text in enumerate(texts)
         )
         dataset = Dataset("gen", tweets)
@@ -285,8 +273,8 @@ def test_reference_dev_scores_when_data_available(tmp_path, capsys):
         train = parse_conll(handle, name="train")
     with open(dev_path, encoding="utf-8") as handle:
         dev = parse_conll(handle, name="dev")
-    assert class_distribution(train).counts == TRAIN_CLASS_COUNTS
-    assert class_distribution(dev).counts == DEV_CLASS_COUNTS
+    assert Counter(require_labels(train)) == TRAIN_CLASS_COUNTS
+    assert Counter(require_labels(dev)) == DEV_CLASS_COUNTS
 
     config = tmp_path / "cfg.ini"
     config.write_text(

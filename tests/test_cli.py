@@ -7,7 +7,7 @@ import pytest
 
 import synth
 from codemix import cli, models
-from codemix.corpus import Dataset, LangTag, Sentiment, Token, Tweet, format_conll, parse_conll
+from codemix.corpus import Dataset, LangTag, Sentiment, format_conll, parse_conll
 from codemix.evaluation import score
 from codemix.models import LinearModel, ModelKind
 from codemix.vectorize import DocMode, load_tfidf
@@ -410,7 +410,7 @@ class TestEvalCommand:
     def test_unlabeled_data_is_data_error(self, workspace, capsys):
         assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
         unlabeled = Dataset(
-            "u", (Tweet("x1", (Token("hola", LangTag.LANG2),)), Tweet("x2", (Token("adios", LangTag.LANG2),)))
+            "u", (synth.make_tweet("x1", ["hola"], lang=LangTag.LANG2), synth.make_tweet("x2", ["adios"], lang=LangTag.LANG2))
         )
         write_corpus(workspace / "unlabeled.txt", unlabeled)
         code, _, err = run(
@@ -450,7 +450,7 @@ class TestPredictCommand:
 
     def test_predictions_work_on_unlabeled_data(self, workspace, capsys):
         assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0
-        unlabeled = Dataset("u", (Tweet("a", (Token("feliz", LangTag.LANG2), Token("genial", LangTag.LANG2))),))
+        unlabeled = Dataset("u", (synth.make_tweet("a", ["feliz", "genial"], lang=LangTag.LANG2),))
         write_corpus(workspace / "unlabeled.txt", unlabeled)
         out_path = workspace / "preds.tsv"
         code, _, _ = run(
@@ -481,11 +481,7 @@ ALL_RULES = (
 class TestPreprocessCommand:
     @pytest.mark.parametrize("tweet_id,text,rule,expected", GOLDEN_TWEETS)
     def test_single_rule_goldens_end_to_end(self, tmp_path, capsys, tweet_id, text, rule, expected):
-        tweet = Tweet(
-            tweet_id,
-            tuple(Token(w, LangTag.LANG1) for w in text.split()),
-            Sentiment.NEUTRAL,
-        )
+        tweet = synth.make_tweet(tweet_id, text.split(), Sentiment.NEUTRAL)
         write_corpus(tmp_path / "one.txt", Dataset("one", (tweet,)))
         args = ["preprocess", "--data", tmp_path / "one.txt"]
         for name in ALL_RULES:
@@ -496,8 +492,8 @@ class TestPreprocessCommand:
 
     def test_full_pipeline_line_per_tweet(self, tmp_path, capsys):
         tweets = (
-            Tweet("1", tuple(Token(w, LangTag.LANG1) for w in "@u Hiiiii #GoTeam <3 www.x.com".split())),
-            Tweet("2", (Token("hola", LangTag.LANG2),)),
+            synth.make_tweet("1", "@u Hiiiii #GoTeam <3 www.x.com".split()),
+            synth.make_tweet("2", ["hola"], lang=LangTag.LANG2),
         )
         write_corpus(tmp_path / "two.txt", Dataset("two", tweets))
         code, out, _ = run(["preprocess", "--data", tmp_path / "two.txt"], capsys)
@@ -509,7 +505,7 @@ class TestPreprocessCommand:
         lex.write_text("broken-line-without-tab\n", encoding="utf-8")
         write_corpus(
             tmp_path / "one.txt",
-            Dataset("one", (Tweet("1", (Token("x", LangTag.LANG1),)),)),
+            Dataset("one", (synth.make_tweet("1", ["x"]),)),
         )
         code, _, err = run(
             ["preprocess", "--data", tmp_path / "one.txt", "--data.lexicon", lex], capsys
@@ -520,8 +516,7 @@ class TestPreprocessCommand:
     def test_comment_only_lexicon_replaces_nothing(self, tmp_path, capsys):
         lex = tmp_path / "lex.tsv"
         lex.write_text("# no entries\n", encoding="utf-8")
-        tokens = tuple(Token(w, LangTag.LANG1) for w in "mañana 😀 :) <3 hola".split())
-        write_corpus(tmp_path / "one.txt", Dataset("one", (Tweet("1", tokens),)))
+        write_corpus(tmp_path / "one.txt", Dataset("one", (synth.make_tweet("1", "mañana 😀 :) <3 hola".split()),)))
         args = ["preprocess", "--data", tmp_path / "one.txt"]
         code, out, err = run([*args, "--data.lexicon", lex], capsys)
         assert (code, err) == (0, "")

@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
 from codemix.errors import ConfigError
 from synth import synthetic_dataset
+from codemix import preprocess
 from codemix.preprocess import (
     EmojiLexicon,
     PipelineConfig,
@@ -25,23 +28,16 @@ GOLDEN_EXAMPLES = [
     ("hashtags", "We need to talk #HereWeGoAgain", "We need to talk Here We Go Again"),
 ]
 
+RULES = ("replace_emoji", "remove_mentions", "replace_urls", "collapse_elongation", "segment_hashtags", "remove_non_ascii")
+ALL_RULES_OFF = PipelineConfig(**dict.fromkeys(RULES, False))
 RULE_ONLY_CONFIGS = {
-    "emoji": PipelineConfig.identity().__class__(
-        replace_emoji=True, remove_mentions=False, replace_urls=False,
-        collapse_elongation=False, segment_hashtags=False, remove_non_ascii=False,
-    ),
-    "urls": PipelineConfig.identity().__class__(
-        replace_emoji=False, remove_mentions=False, replace_urls=True,
-        collapse_elongation=False, segment_hashtags=False, remove_non_ascii=False,
-    ),
-    "elongation": PipelineConfig.identity().__class__(
-        replace_emoji=False, remove_mentions=False, replace_urls=False,
-        collapse_elongation=True, segment_hashtags=False, remove_non_ascii=False,
-    ),
-    "hashtags": PipelineConfig.identity().__class__(
-        replace_emoji=False, remove_mentions=False, replace_urls=False,
-        collapse_elongation=False, segment_hashtags=True, remove_non_ascii=False,
-    ),
+    rule: dataclasses.replace(ALL_RULES_OFF, **{name: True})
+    for rule, name in [
+        ("emoji", "replace_emoji"),
+        ("urls", "replace_urls"),
+        ("elongation", "collapse_elongation"),
+        ("hashtags", "segment_hashtags"),
+    ]
 }
 
 
@@ -183,8 +179,7 @@ class TestSegmentHashtags:
 
 class TestRunPipeline:
     def test_identity_config_normalizes_whitespace(self):
-        config = PipelineConfig.identity()
-        assert run_pipeline("  spaced \t out\ttext  ", config) == "spaced out text"
+        assert run_pipeline("  spaced \t out\ttext  ", ALL_RULES_OFF) == "spaced out text"
 
     @pytest.mark.parametrize("rule,text,expected", GOLDEN_EXAMPLES)
     def test_single_rule_matches_golden(self, rule, text, expected, lexicon):
@@ -323,10 +318,36 @@ class TestMatchesFrozenRules:
         text=mixed_texts,
         rules=st.lists(st.booleans(), min_size=6, max_size=6),
         min_run=st.integers(2, 5),
+        entries=st.one_of(st.none(), lexicons),
     )
-    def test_run_pipeline(self, lexicon, text, rules, min_run):
+    # Each example needs a second pass that changes the text: stripping "é" exposes ":)", removing
+    # the mention joins "a b", segmenting forms "Go Team" and replacing the URL writes "URL".
+    @example(text=":é)", rules=[True] * 6, min_run=3, entries=None)
+    @example(text="a @u b", rules=[True] * 6, min_run=3, entries={"a b": "x"})
+    @example(text="#GoTeam", rules=[True] * 6, min_run=3, entries={"Go Team": "x"})
+    @example(text="ab.com", rules=[True] * 6, min_run=3, entries={"URL": "x"})
+    @example(text="Ññññ xÑÑÑ", rules=[True] * 6, min_run=3, entries={})  # ASCII only after stripping
+    @example(text="http://x", rules=[True] * 6, min_run=3, entries={})  # a URL with no "."
+    def test_run_pipeline(self, lexicon, text, rules, min_run, entries):
         config = PipelineConfig(*rules, elongation_min_run=min_run)
+        lexicon = lexicon if entries is None else EmojiLexicon(entries)
         assert run_pipeline(text, config, lexicon) == oracles.frozen_run_pipeline(text, config, lexicon._entries)
+
+    @pytest.mark.parametrize(
+        "text,entries,expected",
+        [
+            (":é)", None, "smiley face"),
+            ("a @u b", {"a b": "x"}, "x"),
+            ("#GoTeam", {"Go Team": "x"}, "x"),
+            ("ab.com", {"URL": "x"}, "x"),
+        ],
+    )
+    def test_second_pass_changes_the_text(self, lexicon, text, entries, expected):
+        lexicon = lexicon if entries is None else EmojiLexicon(entries)
+        config = PipelineConfig()
+        once = preprocess._pipeline_pass(preprocess._squash(text), config, lexicon)
+        assert once != expected
+        assert run_pipeline(text, config, lexicon) == expected
 
     def test_run_pipeline_on_synthetic_corpus(self, lexicon):
         config = PipelineConfig()

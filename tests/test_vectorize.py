@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
-from codemix.corpus import Dataset, LangTag, Sentiment, Token, Tweet
+from synth import make_tweet
+from codemix.corpus import Dataset, Sentiment
 from codemix.errors import ConfigError, DataError
 from codemix.vectorize import (
     DEFAULT_CHAR_ANALYZER,
@@ -37,14 +38,6 @@ WORD = Analyzer(AnalyzerKind.WORD, 1, 1)
 CHAR2 = Analyzer(AnalyzerKind.CHAR, 2, 2)
 
 TOY_DOCS = ["the cat sat", "the dog sat down", "cat and dog and cat"]
-
-
-def labeled_tweet(tweet_id, words, sentiment):
-    return Tweet(
-        id=tweet_id,
-        tokens=tuple(Token(w, LangTag.LANG1) for w in words),
-        sentiment=sentiment,
-    )
 
 
 class TestAnalyzer:
@@ -228,7 +221,7 @@ class TestPrepareDocuments:
             Sentiment.NEUTRAL,
             Sentiment.NEGATIVE,
         ]
-        tweets = tuple(labeled_tweet(str(i), [f"w{i}"], s) for i, s in enumerate(sentiments))
+        tweets = tuple(make_tweet(str(i), [f"w{i}"], s) for i, s in enumerate(sentiments))
         return Dataset("d", tweets)
 
     def test_all_documents(self):
@@ -249,7 +242,7 @@ class TestPrepareDocuments:
         assert prepare_documents(Dataset("d", ()), DocMode.PER_CLASS_CONCATENATED, []) == ["", "", ""]
 
     def test_unlabeled_tweet_rejected_per_class(self):
-        dataset = Dataset("d", (labeled_tweet("0", ["w"], Sentiment.NEUTRAL), Tweet("u1", (Token("x", LangTag.LANG1),))))
+        dataset = Dataset("d", (make_tweet("0", ["w"], Sentiment.NEUTRAL), make_tweet("u1", ["x"])))
         with pytest.raises(DataError, match="u1"):
             prepare_documents(dataset, DocMode.PER_CLASS_CONCATENATED, ["w", "x"])
 
