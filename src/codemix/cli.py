@@ -204,8 +204,8 @@ def _load_lexicon(config: RunConfig) -> EmojiLexicon:
 
 
 def _load_block_dataset(path: str, name: str) -> Dataset:
-    with open(path, encoding="utf-8") as handle:
-        return parse_conll(handle, name=name)
+    with open(path, encoding="utf-8", newline="") as handle:
+        return parse_conll(handle.read(), name=name)
 
 
 def _load_training_data(config: RunConfig) -> Dataset:

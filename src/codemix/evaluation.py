@@ -28,10 +28,6 @@ class ConfusionMatrix:
 
     counts: tuple[tuple[int, ...], ...]
 
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
 
 @dataclass(frozen=True)
 class EvalReport:

@@ -113,32 +113,6 @@ def _hinge_loss(scores: np.ndarray, y_idx: np.ndarray):
     return float(np.where(active, margins, 0.0).sum()) / n, np.where(active, -targets, 0.0) / n
 
 
-def _regularized(score_loss, W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float):
-    """score_loss of the scores X @ W.T + b plus (lambda/2)*||W||^2, with its gradients."""
-    loss, grad_scores = score_loss(np.asarray(X @ W.T) + b, y_idx)
-    loss += 0.5 * l2_lambda * float(np.sum(W * W))
-    grad_W = np.asarray((X.T @ grad_scores).T) + l2_lambda * W
-    return loss, grad_W, grad_scores.sum(axis=0)
-
-
-def softmax_cross_entropy(W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float):
-    """Mean softmax cross-entropy plus (lambda/2)*||W||^2 and its gradients.
-
-    Returns (loss, grad_W, grad_b).  X may be dense or CSR.
-    """
-    return _regularized(_softmax_loss, W, b, X, y_idx, l2_lambda)
-
-
-def ovr_hinge_objective(W: np.ndarray, b: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float):
-    """One-vs-rest hinge objective plus (lambda/2)*||W||^2 and a subgradient.
-
-    Each class is a binary problem with targets +1/-1; the data term is the
-    per-class mean hinge loss summed over classes.  Returns (loss, grad_W,
-    grad_b).
-    """
-    return _regularized(_hinge_loss, W, b, X, y_idx, l2_lambda)
-
-
 _SCORE_LOSS = {ModelKind.LR: _softmax_loss, ModelKind.SVM: _hinge_loss}
 
 
@@ -299,13 +273,8 @@ def _model_lines(model: LinearModel):
     yield from map(_format_row, rows)
 
 
-def format_model(model: LinearModel) -> str:
-    """Versioned text serialization, one line of parameters per class."""
-    return "".join(line + "\n" for line in _model_lines(model))
-
-
 def parse_model(text: str) -> LinearModel:
-    """The model format_model wrote as text.  Only that layout loads: a header equal to the one
+    """The model save_model wrote as text.  Only that layout loads: a header equal to the one
     the parsed model is written with, then one line of finite parameters per class, all ending
     in "\n" (the last may lack it).  No blank line is skipped and "\r\n" is refused."""
     lines = text.removesuffix("\n").split("\n")

@@ -46,15 +46,14 @@ class EmojiLexicon:
         self._pattern = re.compile(rf"(?=[{starts}\x80-\U0010FFFF])(?:{alternatives})")
         self._ascii_pattern = re.compile("|".join(re.escape(key) for key in keys if key.isascii()) or "(?!)")
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def name_of(self, key: str) -> str:
         return self._entries[key]
 
-    def pattern_for(self, text: str) -> re.Pattern:
-        """The pattern that finds the lexicon's keys in text: the ASCII keys' own if text is ASCII."""
-        return self._ascii_pattern if text.isascii() else self._pattern
+    def spell(self, text: str) -> tuple[str, int]:
+        """text with each key, longest first, replaced by its name between spaces; and the number replaced.
+        On ASCII text the ASCII keys' own pattern finds the same keys."""
+        pattern = self._ascii_pattern if text.isascii() else self._pattern
+        return pattern.subn(lambda match: f" {self._entries[match.group()]} ", text)
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], origin: str = "<lexicon>") -> "EmojiLexicon":
@@ -101,7 +100,7 @@ class PipelineConfig:
 
 def replace_emoji(text: str, lexicon: EmojiLexicon) -> str:
     """Replace every lexicon match with its textual name, longest match first."""
-    return _squash(lexicon.pattern_for(text).sub(lambda match: f" {lexicon.name_of(match.group())} ", text))
+    return _squash(lexicon.spell(text)[0])
 
 
 def remove_mentions(text: str) -> str:
@@ -203,8 +202,10 @@ def segment_hashtags(text: str) -> str:
 def _pipeline_pass(text: str, config: PipelineConfig, lexicon: EmojiLexicon) -> str:
     # text is squashed, and so is what every rule returns.  On squashed text each test below is
     # false only where its rule would return the text unchanged.
-    if config.replace_emoji and lexicon.pattern_for(text).search(text):
-        text = replace_emoji(text, lexicon)
+    if config.replace_emoji:
+        spelled, hits = lexicon.spell(text)  # one scan tests and replaces
+        if hits:
+            text = _squash(spelled)
     if config.remove_mentions and "@" in text:
         text = remove_mentions(text)
     if config.replace_urls and ("." in text or ":" in text):  # as in _is_url

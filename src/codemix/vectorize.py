@@ -10,7 +10,7 @@ ln((1 + N) / (1 + df)) + 1.
 
 import math
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -66,16 +66,6 @@ class Analyzer:
     def __post_init__(self):
         if not (1 <= self.ngram_min <= self.ngram_max <= 8):
             raise ConfigError("analyzer n-gram range must satisfy 1 <= min <= max <= 8")
-
-    def terms(self, text: str) -> Iterator[str]:
-        """The text's n-grams as a lazy stream: shortest n first, then in text order.  This defines
-        the n-grams that count_terms counts, without decoding each occurrence."""
-        lowered = text.lower()
-        ns = range(self.ngram_min, self.ngram_max + 1)
-        if self.kind is AnalyzerKind.WORD:
-            tokens = _WORD_TOKEN_RE.findall(lowered)
-            return (" ".join(tokens[i : i + n]) for n in ns for i in range(len(tokens) - n + 1))
-        return (lowered[i : i + n] for n in ns for i in range(len(lowered) - n + 1))
 
 
 DEFAULT_WORD_ANALYZER = Analyzer(AnalyzerKind.WORD, 1, 1)
@@ -248,22 +238,6 @@ def _count_levels(
     if fitting:
         vocab = Vocabulary(tuple(map(grams.__getitem__, order)), tuple(df.tolist()), n_texts)
     return vocab, parts
-
-
-def count_terms(
-    texts: Iterable[str], analyzer: Analyzer, vocab: Vocabulary | None = None
-) -> tuple[Vocabulary, sparse.csr_matrix]:
-    """Term-count matrix of texts (one row per text, float64 counts, indices sorted in each row).
-
-    Without a vocabulary this fits one: terms are numbered in lexicographic order, and each
-    term's document frequency is the number of rows it occurs in.  With a vocabulary,
-    out-of-vocabulary terms are dropped.
-    """
-    texts = list(texts)
-    vocab, parts = _count_levels(texts, analyzer, vocab)
-    counts = _join(parts, (len(texts), len(vocab)))
-    counts.data = counts.data.astype(np.float64)
-    return vocab, counts
 
 
 def _join(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], shape: tuple[int, int]) -> sparse.csr_matrix:

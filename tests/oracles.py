@@ -11,9 +11,9 @@ gradient-descent step with its two objectives, the O(nnz) step of one model
 on its own batch stream, the per-character normalizer rules and the
 per-token URL rule, with the pipeline around them (which calls the
 library's two rules that kept their code: mentions and hashtags), the
-per-occurrence n-gram counter (which reads each text's n-grams from the
-library's Analyzer.terms) and the line-by-line block parser with one Token
-object per token line (which builds the library's Tweet and Dataset).
+per-occurrence n-gram counter over word_terms and char_terms, and the
+line-by-line block parser with one Token object per token line (which
+builds the library's Tweet and Dataset).
 """
 
 import math
@@ -135,7 +135,7 @@ def frozen_count_terms(texts, analyzer, vocab=None):
     Without a vocabulary this fits one: terms get ids as they are first seen, are then
     renumbered in lexicographic order, and each term's document frequency is the number of
     rows it occurs in.  With a vocabulary, out-of-vocabulary terms are dropped as they are
-    read.  Each text's n-grams are streamed into the count and never held as a list.
+    read.  ``analyzer`` needs kind (its value "word" or "char"), ngram_min and ngram_max.
     """
     fitting = vocab is None
     if fitting:
@@ -146,8 +146,9 @@ def frozen_count_terms(texts, analyzer, vocab=None):
     known = partial(operator.is_not, None)  # not None.__ne__: bool(NotImplemented) is deprecated
     ids: list[int] = []  # one id per known term occurrence
     bounds = [0]  # the CSR indptr: row r holds ids[bounds[r] : bounds[r + 1]]
+    extract = word_terms if analyzer.kind.value == "word" else char_terms
     for text in texts:
-        grams = analyzer.terms(text)
+        grams = extract(text, analyzer.ngram_min, analyzer.ngram_max)
         ids += map(term_index.__getitem__, grams) if fitting else filter(known, map(term_index.get, grams))
         bounds.append(len(ids))
     columns = np.array(ids, dtype=np.int64)
@@ -444,8 +445,7 @@ def _frozen_parse_token_line(line, line_no):
 
 def frozen_parse_conll(source, name="dataset"):
     """The line-by-line block parser with one Token object per token line; it builds the library's types."""
-    lines = source.split("\n") if isinstance(source, str) else source
-    numbered = enumerate((raw.rstrip("\r\n") for raw in lines), start=1)
+    numbered = enumerate((raw.rstrip("\r\n") for raw in source.split("\n")), start=1)
     tweets = []
     for blank, block in groupby(numbered, key=lambda item: not item[1].strip()):
         if blank:

@@ -21,7 +21,7 @@ import synth
 from codemix import cli
 from codemix.corpus import Dataset, Sentiment, format_conll, parse_conll, require_labels
 from codemix.evaluation import score
-from codemix.models import ModelKind, TrainConfig, fit, ovr_hinge_objective
+from codemix.models import ModelKind, TrainConfig, _hinge_loss, _softmax_loss, fit
 from codemix.preprocess import (
     PipelineConfig,
     collapse_elongation,
@@ -68,8 +68,8 @@ def _random_corpus(rng):
         texts = [" ".join(rng.choice(words) for _ in range(rng.randint(0, 6))) for _ in range(n_docs)]
         terms = set()
         for text in texts:
-            terms.update(Analyzer(AnalyzerKind.WORD, 1, 1).terms(text))
-            terms.update(char_analyzer.terms(text))
+            terms.update(oracles.word_terms(text, 1, 1))
+            terms.update(oracles.char_terms(text, char_analyzer.ngram_min, char_analyzer.ngram_max))
         if len(terms) <= 50:
             return texts, char_analyzer
 
@@ -125,8 +125,6 @@ def test_mnb_matches_closed_form_oracle():
 
 
 def test_lr_gradient_check():
-    from codemix.models import softmax_cross_entropy
-
     started = time.perf_counter()
     rng = np.random.default_rng(4242)
     for _ in range(50):
@@ -137,19 +135,22 @@ def test_lr_gradient_check():
         W = rng.normal(size=(3, dim))
         b = rng.normal(size=3)
         lam = float(rng.uniform(0.0, 0.1))
-        _, grad_W, grad_b = softmax_cross_entropy(W.copy(), b.copy(), X, y, lam)
+        # The score gradient that the SGD step uses, then the regularized W/b gradient of the dense reference.
+        scores = X @ W.T + b
+        grad_scores = _softmax_loss(scores.copy(), y)[1]
+        fd_scores = oracles.central_difference_gradient(
+            lambda flat: _softmax_loss(flat.reshape(n, 3), y)[0], scores, eps=1e-5
+        )
+        objective = oracles.frozen_softmax_cross_entropy
+        _, grad_W, grad_b = objective(W.copy(), b.copy(), X, y, lam)
         fd_W = oracles.central_difference_gradient(
-            lambda flat: softmax_cross_entropy(flat.reshape(3, dim), b, X, y, lam)[0],
+            lambda flat: objective(flat.reshape(3, dim), b, X, y, lam)[0],
             W.ravel(),
             eps=1e-5,
         ).reshape(3, dim)
-        fd_b = oracles.central_difference_gradient(
-            lambda flat: softmax_cross_entropy(W, flat, X, y, lam)[0], b, eps=1e-5
-        )
-        rel_W = np.linalg.norm(grad_W - fd_W) / max(np.linalg.norm(grad_W) + np.linalg.norm(fd_W), 1e-12)
-        rel_b = np.linalg.norm(grad_b - fd_b) / max(np.linalg.norm(grad_b) + np.linalg.norm(fd_b), 1e-12)
-        assert rel_W < 1e-4
-        assert rel_b < 1e-4
+        fd_b = oracles.central_difference_gradient(lambda flat: objective(W, flat, X, y, lam)[0], b, eps=1e-5)
+        for grad, fd in ((grad_scores, fd_scores), (grad_W, fd_W), (grad_b, fd_b)):
+            assert np.linalg.norm(grad - fd) / max(np.linalg.norm(grad) + np.linalg.norm(fd), 1e-12) < 1e-4
     _finish("lr gradient check (50 problems)", started, 10.0)
 
 
@@ -182,7 +183,7 @@ def test_svm_separability_across_seeds():
         )
         model = fit(matrix, labels, config)
         y_idx = np.asarray([int(label) for label in labels])
-        hinge = ovr_hinge_objective(model.weights, model.bias, matrix, y_idx, 0.0)[0]
+        hinge = _hinge_loss(matrix @ model.weights.T + model.bias, y_idx)[0]
         accuracy = float((np.asarray(matrix @ model.weights.T + model.bias).argmax(axis=1) == y_idx).mean())
         if hinge == 0.0 and accuracy == 1.0:
             successes += 1
@@ -269,10 +270,10 @@ def test_reference_dev_scores_when_data_available(tmp_path, capsys):
     for path in (train_path, dev_path):
         assert os.path.isfile(path), f"expected {path}"
 
-    with open(train_path, encoding="utf-8") as handle:
-        train = parse_conll(handle, name="train")
-    with open(dev_path, encoding="utf-8") as handle:
-        dev = parse_conll(handle, name="dev")
+    with open(train_path, encoding="utf-8", newline="") as handle:
+        train = parse_conll(handle.read(), name="train")
+    with open(dev_path, encoding="utf-8", newline="") as handle:
+        dev = parse_conll(handle.read(), name="dev")
     assert Counter(require_labels(train)) == TRAIN_CLASS_COUNTS
     assert Counter(require_labels(dev)) == DEV_CLASS_COUNTS
 

@@ -478,7 +478,23 @@ ALL_RULES = (
 )
 
 
+# Block files with a lone "\r": lines end only at "\n", so it stays inside its line, and each file is
+# refused with the parser's own message and line number.
+LONE_CR_FILES = [
+    (b"meta 1\nx\tlang1\na\rb\tlang1\n", "line 3: token text may not contain tabs or newlines: 'a\\rb'"),
+    (
+        b"meta 1 positive\rhola\tlang2\r\rmeta 2 negative\rbye\tlang1\r",
+        "line 1: malformed meta line 'meta 1 positive\\rhola\\tlang2\\r\\rmeta 2 negative\\rbye\\tlang1'",
+    ),
+]
+
+
 class TestPreprocessCommand:
+    @pytest.mark.parametrize("content, message", LONE_CR_FILES, ids=["inside_a_token", "as_every_line_end"])
+    def test_lone_carriage_return_is_refused_as_the_parser_refuses_it(self, tmp_path, capsys, content, message):
+        (tmp_path / "cr.txt").write_bytes(content)
+        assert run(["preprocess", "--data", tmp_path / "cr.txt"], capsys) == (3, "", f"data error: {message}\n")
+
     @pytest.mark.parametrize("tweet_id,text,rule,expected", GOLDEN_TWEETS)
     def test_single_rule_goldens_end_to_end(self, tmp_path, capsys, tweet_id, text, rule, expected):
         tweet = synth.make_tweet(tweet_id, text.split(), Sentiment.NEUTRAL)

@@ -1,4 +1,3 @@
-import io
 import string
 from collections import Counter
 
@@ -91,7 +90,6 @@ class TestParseConll:
 
     def test_empty_stream(self):
         assert len(parse_conll("")) == 0
-        assert len(parse_conll(io.StringIO(""))) == 0
 
     def test_unknown_lang_tag_names_tag_and_line(self):
         with pytest.raises(ParseError, match="foo") as excinfo:
@@ -206,10 +204,9 @@ class TestParserTraps:
         assert dataset[0].tokens == ("a\x0bb", "c\x85", "\u2028d")
         assert format_conll(dataset) == text
 
-    @pytest.mark.parametrize("source", ["meta 1\nx\tlang1\na\rb\tlang1\n", ["meta 1\n", "x\tlang1\n", "a\rb\tlang1\n"]])
-    def test_carriage_return_inside_a_token_is_refused(self, source):
+    def test_carriage_return_inside_a_token_is_refused(self):
         with pytest.raises(ParseError, match=r"line 3: token text may not contain tabs or newlines: 'a\\rb'"):
-            parse_conll(source)
+            parse_conll("meta 1\nx\tlang1\na\rb\tlang1\n")
 
     def test_token_with_a_space_round_trips(self):
         text = "meta 1 neutral\na b\tlang1\n c \tlang2\n"
@@ -230,14 +227,6 @@ class TestParserTraps:
             parse_conll(text, name="d")
         assert type(excinfo.value) is DataError
 
-    def test_iterable_of_lines_with_and_without_line_ends(self):
-        lines = self.TWO.split("\n")
-        expected = parse_conll(self.TWO)
-        assert parse_conll(lines) == expected
-        assert parse_conll([line + "\n" for line in lines]) == expected
-        assert parse_conll([line + "\r\n" for line in lines]) == expected
-        assert parse_conll(io.StringIO(self.TWO)) == expected
-
 
 # Lines that are valid, malformed, blank or hold a line-breaking codepoint, for files the
 # line-by-line parser refuses or reads in a different way than a naive bulk split would.
@@ -251,18 +240,14 @@ line_pieces = st.one_of(st.sampled_from(LINE_PIECES), st.text(alphabet="meta 12\
 
 @st.composite
 def block_sources(draw):
-    """A block file, valid or corrupted, as a string or as a list of lines with or without ends."""
+    """A block file, valid or corrupted, with "\n" or "\r\n" line ends."""
     if draw(st.booleans()):
         lines = format_conll(draw(datasets())).split("\n")
         for _ in range(draw(st.integers(0, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(line_pieces))
     else:
         lines = draw(st.lists(line_pieces, max_size=16))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
-    form = draw(st.sampled_from(["text", "lines", "bare lines"]))
-    if form == "text":
-        return ending.join(lines)
-    return [line + ending for line in lines] if form == "lines" else lines
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
 def _outcome(parse, source):
@@ -276,7 +261,6 @@ class TestMatchesFrozenParser:
     @given(source=block_sources())
     @example(source="meta 1\nx\tlang1\na\rb\tfoo\n")  # the tag is checked before the token
     @example(source="meta 1\na\rb\tlang1\nbad\n")  # the first bad line is reported
-    @example(source=["meta 1", "a\nb\tlang1"])  # a newline inside a line of a stream
     @example(source="meta 1\nx\tlang1\n\nmeta 1\nbad\n")  # a parse error before the duplicate id
     @example(source="meta 1 poſitive\nx\tlang1\n")  # "ſ".upper() == "S"
     def test_same_dataset_or_same_error(self, source):

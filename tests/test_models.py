@@ -17,17 +17,16 @@ from codemix.models import (
     TrainConfig,
     _format_row,
     _gradient_descent,
+    _hinge_loss,
+    _softmax_loss,
     fit,
     fit_all,
-    format_model,
     load_model,
     mnb_parameters,
-    ovr_hinge_objective,
     parse_model,
     predict_batch,
     predict_scores,
     save_model,
-    softmax_cross_entropy,
 )
 
 
@@ -143,26 +142,31 @@ class TestMnb:
         assert predict_batch(model, sparse.csr_matrix((2, 4))) == [Sentiment.NEGATIVE] * 2
 
 
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)
+
+
+def assert_gradients_match_finite_differences(score_loss, frozen, rng, lam):
+    """score_loss's gradient against central differences in the scores, and frozen's in W and b."""
+    X, y = random_problem(rng)
+    W, b = rng.normal(size=(3, 10)), rng.normal(size=3)
+    scores = X @ W.T + b
+    grad_scores = score_loss(scores.copy(), y)[1]
+    fd_scores = oracles.central_difference_gradient(lambda flat: score_loss(flat.reshape(scores.shape), y)[0], scores)
+    assert relative_error(grad_scores, fd_scores) < 1e-4
+    _, grad_W, grad_b = frozen(W.copy(), b.copy(), X, y, lam)
+    fd_W = oracles.central_difference_gradient(lambda flat: frozen(flat.reshape(3, 10), b, X, y, lam)[0], W.ravel())
+    fd_b = oracles.central_difference_gradient(lambda flat: frozen(W, flat, X, y, lam)[0], b)
+    assert relative_error(grad_W, fd_W.reshape(3, 10)) < 1e-4
+    assert relative_error(grad_b, fd_b) < 1e-4
+
+
 class TestLogisticRegression:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            X, y = random_problem(rng)
-            W = rng.normal(size=(3, 10))
-            b = rng.normal(size=3)
             lam = float(rng.uniform(0, 0.1))
-            _, grad_W, grad_b = softmax_cross_entropy(W.copy(), b.copy(), X, y, lam)
-
-            fd_W = oracles.central_difference_gradient(
-                lambda flat: softmax_cross_entropy(flat.reshape(3, 10), b, X, y, lam)[0], W.ravel()
-            ).reshape(3, 10)
-            fd_b = oracles.central_difference_gradient(
-                lambda flat: softmax_cross_entropy(W, flat, X, y, lam)[0], b
-            )
-            rel_W = np.linalg.norm(grad_W - fd_W) / max(np.linalg.norm(grad_W) + np.linalg.norm(fd_W), 1e-12)
-            rel_b = np.linalg.norm(grad_b - fd_b) / max(np.linalg.norm(grad_b) + np.linalg.norm(fd_b), 1e-12)
-            assert rel_W < 1e-4
-            assert rel_b < 1e-4
+            assert_gradients_match_finite_differences(_softmax_loss, oracles.frozen_softmax_cross_entropy, rng, lam)
 
     def test_probability_of_repeated_class_grows_monotonically(self):
         X = csr([[1.0, 0.0, 0.0]] * 4)
@@ -197,8 +201,7 @@ class TestSvm:
         cfg = TrainConfig(model_kind=ModelKind.SVM, l2_lambda=0.0, learning_rate=0.5, epochs=300, batch_size=6, seed=1)
         model = fit(X, y, cfg)
         y_idx = np.array([int(s) for s in y])
-        hinge, _, _ = ovr_hinge_objective(model.weights, model.bias, X, y_idx, 0.0)
-        assert hinge == 0.0
+        assert _hinge_loss(X @ model.weights.T + model.bias, y_idx)[0] == 0.0
         scores = np.asarray(X @ model.weights.T) + model.bias
         targets = np.full(scores.shape, -1.0)
         targets[np.arange(len(y)), y_idx] = 1.0
@@ -214,7 +217,7 @@ class TestSvm:
                 model_kind=ModelKind.SVM, l2_lambda=1e-4, learning_rate=0.01, epochs=epochs, batch_size=100, seed=0
             )
             model = fit(X, y, cfg)
-            objective = ovr_hinge_objective(model.weights, model.bias, X, y_idx, 1e-4)[0]
+            objective = oracles.frozen_ovr_hinge_objective(model.weights, model.bias, X, y_idx, 1e-4)[0]
             if previous is not None:
                 assert objective <= previous + 1e-8
             previous = objective
@@ -223,18 +226,7 @@ class TestSvm:
         # hinge is non-smooth only where a margin equals exactly 1, which has
         # probability zero for random parameters
         rng = np.random.default_rng(3)
-        X, y = random_problem(rng)
-        W = rng.normal(size=(3, 10))
-        b = rng.normal(size=3)
-        _, grad_W, grad_b = ovr_hinge_objective(W.copy(), b.copy(), X, y, 0.01)
-        fd_W = oracles.central_difference_gradient(
-            lambda flat: ovr_hinge_objective(flat.reshape(3, 10), b, X, y, 0.01)[0], W.ravel()
-        ).reshape(3, 10)
-        fd_b = oracles.central_difference_gradient(
-            lambda flat: ovr_hinge_objective(W, flat, X, y, 0.01)[0], b
-        )
-        assert np.linalg.norm(grad_W - fd_W) / np.linalg.norm(fd_W) < 1e-4
-        assert np.linalg.norm(grad_b - fd_b) / np.linalg.norm(fd_b) < 1e-4
+        assert_gradients_match_finite_differences(_hinge_loss, oracles.frozen_ovr_hinge_objective, rng, 0.01)
 
 
 @st.composite
@@ -300,18 +292,22 @@ class TestSparseStepMatchesDenseOracle:
         with pytest.raises(NumericError, match="epoch 1"):
             _gradient_descent(X, y_idx, 3, [cfg])
 
-    @pytest.mark.parametrize("objective", [softmax_cross_entropy, ovr_hinge_objective])
-    def test_objectives_match_frozen(self, objective):
+    @pytest.mark.parametrize("kind", [ModelKind.LR, ModelKind.SVM])
+    def test_objectives_match_frozen(self, kind):
+        score_loss = _SCORE_LOSS[kind]
         frozen = {
-            softmax_cross_entropy: oracles.frozen_softmax_cross_entropy,
-            ovr_hinge_objective: oracles.frozen_ovr_hinge_objective,
-        }[objective]
+            ModelKind.LR: oracles.frozen_softmax_cross_entropy,
+            ModelKind.SVM: oracles.frozen_ovr_hinge_objective,
+        }[kind]
         rng = np.random.default_rng(5)
         for _ in range(20):
             X, y = random_problem(rng)
-            W, b, lam = rng.normal(size=(3, 10)), rng.normal(size=3), float(rng.uniform(0, 0.1))
-            for got, expected in zip(objective(W, b, csr(X), y, lam), frozen(W, b, csr(X), y, lam)):
-                assert np.array_equal(got, expected)
+            X, W, b = csr(X), rng.normal(size=(3, 10)), rng.normal(size=3)
+            loss, g = score_loss(np.asarray(X @ W.T) + b, y)
+            frozen_loss, frozen_W, frozen_b = frozen(W, b, X, y, 0.0)
+            assert loss == frozen_loss
+            assert np.array_equal(g.sum(axis=0), frozen_b)
+            assert np.array_equal(np.asarray((X.T @ g).T), frozen_W)
 
 
 class TestSharedStreamMatchesSoloStep:
@@ -495,7 +491,7 @@ class TestPredict:
             assert predict_batch(model, X) == expected
 
 
-# format_model of two toy fits, generated when MNB still had its own parameter type: MNB files
+# save_model of two toy fits, generated when MNB still had its own parameter type: MNB files
 # keep the bias first and alpha in the header.
 GOLDEN_MODEL_FILES = {
     ModelKind.MNB: (
@@ -515,15 +511,21 @@ GOLDEN_MODEL_FILES = {
 }
 
 
+def saved_text(model, tmp_path):
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    return path.read_bytes().decode("utf-8")
+
+
 class TestPersistence:
     def fitted(self, kind):
         X, y = separable_points()
         return fit(X, y, TrainConfig(model_kind=kind, epochs=5))
 
     @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_round_trip_is_exact(self, kind):
+    def test_round_trip_is_exact(self, kind, tmp_path):
         model = self.fitted(kind)
-        restored = parse_model(format_model(model))
+        restored = parse_model(saved_text(model, tmp_path))
         assert restored.kind == model.kind
         assert restored.dim == model.dim
         assert np.array_equal(restored.weights, model.weights)
@@ -531,15 +533,15 @@ class TestPersistence:
         assert restored.alpha == model.alpha
 
     @pytest.mark.parametrize("kind", list(GOLDEN_MODEL_FILES))
-    def test_fit_gives_golden_file(self, kind):
+    def test_fit_gives_golden_file(self, kind, tmp_path):
         cfg, text = GOLDEN_MODEL_FILES[kind]
         X, y = separable_points()
-        assert format_model(fit(X, y, cfg)) == text
+        assert saved_text(fit(X, y, cfg), tmp_path) == text
 
     @pytest.mark.parametrize("kind", list(GOLDEN_MODEL_FILES))
-    def test_golden_file_round_trips(self, kind):
+    def test_golden_file_round_trips(self, kind, tmp_path):
         text = GOLDEN_MODEL_FILES[kind][1]
-        assert format_model(parse_model(text)) == text
+        assert saved_text(parse_model(text), tmp_path) == text
 
     @pytest.mark.parametrize("kind, alpha", [(ModelKind.MNB, None), (ModelKind.LR, 1.0), (ModelKind.SVM, 0.5)])
     def test_alpha_belongs_to_mnb_only(self, kind, alpha):
@@ -553,9 +555,9 @@ class TestPersistence:
         restored = load_model(str(path))
         assert np.array_equal(restored.weights, model.weights)
 
-    def test_header_format(self):
+    def test_header_format(self, tmp_path):
         model = self.fitted(ModelKind.LR)
-        assert format_model(model).splitlines()[0] == "model v1 lr 3"
+        assert saved_text(model, tmp_path).splitlines()[0] == "model v1 lr 3"
 
     # The second strategy draws rows from a few values, so most of a row repeats, as in a fitted model.
     @given(
@@ -572,11 +574,12 @@ class TestPersistence:
         assert _format_row(row) == " ".join(f"{value:.17g}" for value in row)
 
     @pytest.mark.parametrize("kind", list(ModelKind))
-    def test_saved_file_equals_format_model(self, kind, tmp_path):
+    def test_saved_file_holds_each_parameter_as_17g(self, kind, tmp_path):
         model = self.fitted(kind)
-        path = tmp_path / "model.txt"
-        save_model(model, str(path))
-        assert path.read_bytes() == format_model(model).encode("utf-8")
+        header = f"model v1 {kind.value} 3" + (f" {model.alpha:.17g}" if kind is ModelKind.MNB else "")
+        rows = [[b, *w] if kind is ModelKind.MNB else [*w, b] for w, b in zip(model.weights, model.bias)]
+        lines = [header] + [" ".join(f"{value:.17g}" for value in row) for row in rows]
+        assert saved_text(model, tmp_path) == "".join(line + "\n" for line in lines)
 
     @pytest.mark.parametrize(
         "text",

@@ -359,8 +359,9 @@ class TestMatchesFrozenRules:
 class TestEmojiLexicon:
     def test_from_lines_skips_comments_and_blanks(self):
         lex = EmojiLexicon.from_lines(["# comment", "", ":)\tsmiley face", "<3\theart"])
-        assert len(lex) == 2
+        assert lex.name_of(":)") == "smiley face"
         assert lex.name_of("<3") == "heart"
+        assert lex.spell("# comment :) <3") == ("# comment  smiley face   heart ", 2)
 
     def test_missing_tab_rejected(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -372,7 +373,8 @@ class TestEmojiLexicon:
 
     def test_consistent_duplicate_allowed(self):
         lex = EmojiLexicon.from_lines([":)\tsmiley face", ":)\tsmiley face"])
-        assert len(lex) == 1
+        assert lex.name_of(":)") == "smiley face"
+        assert lex.spell(":):)") == (" smiley face  smiley face ", 2)
 
     def test_empty_key_or_value_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,6 +3,7 @@ import operator
 import random
 import string
 import tracemalloc
+from collections import Counter
 from functools import reduce
 from types import SimpleNamespace
 
@@ -22,8 +23,9 @@ from codemix.vectorize import (
     AnalyzerKind,
     DocMode,
     Vocabulary,
+    _count_levels,
+    _join,
     _tfidf,
-    count_terms,
     fit_tfidf,
     fit_transform,
     format_tfidf,
@@ -40,20 +42,28 @@ CHAR2 = Analyzer(AnalyzerKind.CHAR, 2, 2)
 TOY_DOCS = ["the cat sat", "the dog sat down", "cat and dog and cat"]
 
 
+def count(texts, analyzer, vocab=None):
+    """The vocabulary and the int32 term-count matrix that fit_transform and transform_batch weight."""
+    vocab, parts = _count_levels(texts, analyzer, vocab)
+    return vocab, _join(parts, (len(texts), len(vocab)))
+
+
 class TestAnalyzer:
     def test_word_unigrams(self):
-        assert list(WORD.terms("The cat, the CAT!")) == ["the", "cat", "the", "cat"]
+        vocab, counts = count(["The cat, the CAT!"], WORD)
+        assert vocab.terms == ("cat", "the")
+        assert counts.toarray().tolist() == [[2, 2]]
 
     def test_word_bigrams(self):
-        analyzer = Analyzer(AnalyzerKind.WORD, 1, 2)
-        assert list(analyzer.terms("a b c")) == ["a", "b", "c", "a b", "b c"]
+        vocab, counts = count(["a b c"], Analyzer(AnalyzerKind.WORD, 1, 2))
+        assert vocab.terms == ("a", "a b", "b", "b c", "c")
+        assert counts.toarray().tolist() == [[1, 1, 1, 1, 1]]
 
     def test_char_ngrams_include_spaces(self):
-        assert list(CHAR2.terms("ab c")) == ["ab", "b ", " c"]
+        assert fit_vocabulary(["ab c"], CHAR2).terms == (" c", "ab", "b ")
 
     def test_char_range(self):
-        analyzer = Analyzer(AnalyzerKind.CHAR, 2, 3)
-        assert list(analyzer.terms("abc")) == ["ab", "bc", "abc"]
+        assert fit_vocabulary(["abc"], Analyzer(AnalyzerKind.CHAR, 2, 3)).terms == ("ab", "abc", "bc")
 
     @pytest.mark.parametrize("low,high", [(0, 1), (3, 2), (1, 9)])
     def test_invalid_ranges(self, low, high):
@@ -63,21 +73,23 @@ class TestAnalyzer:
     def test_word_terms_match_oracle(self):
         for text in TOY_DOCS + ["¡Hola! ¿qué tal?", "under_score splits"]:
             for rng in [(1, 1), (1, 2), (2, 3)]:
-                assert list(Analyzer(AnalyzerKind.WORD, *rng).terms(text)) == oracles.word_terms(text, *rng)
+                vocab, counts = count([text], Analyzer(AnalyzerKind.WORD, *rng))
+                assert dict(zip(vocab.terms, counts.toarray()[0].tolist())) == Counter(oracles.word_terms(text, *rng))
 
     def test_char_terms_match_oracle(self):
         for text in TOY_DOCS:
             for rng in [(2, 2), (2, 5), (1, 3)]:
-                assert list(Analyzer(AnalyzerKind.CHAR, *rng).terms(text)) == oracles.char_terms(text, *rng)
+                vocab, counts = count([text], Analyzer(AnalyzerKind.CHAR, *rng))
+                assert dict(zip(vocab.terms, counts.toarray()[0].tolist())) == Counter(oracles.char_terms(text, *rng))
 
 
 def fit_vocabulary(docs, analyzer):
-    return count_terms(docs, analyzer)[0]
+    return _count_levels(docs, analyzer)[0]
 
 
 class TestFitVocabulary:
     def test_two_docs(self):
-        vocab, counts = count_terms(["a b", "b c"], WORD)
+        vocab, counts = count(["a b", "b c"], WORD)
         assert vocab.terms == ("a", "b", "c")
         assert vocab.document_frequency == (1, 2, 1)
         assert vocab.n_documents == 2
@@ -93,7 +105,7 @@ class TestFitVocabulary:
             fit_tfidf([], DocMode.ALL_DOCUMENTS)
 
     def test_df_counted_once_per_document(self):
-        vocab, counts = count_terms(["cat cat cat", "cat"], WORD)
+        vocab, counts = count(["cat cat cat", "cat"], WORD)
         assert vocab.document_frequency[vocab.term_index["cat"]] == 2
         assert counts.toarray().tolist() == [[3.0], [1.0]]
 
@@ -115,7 +127,7 @@ class TestFitVocabulary:
 
     def test_fixed_vocabulary_drops_unknown_terms(self):
         vocab = fit_vocabulary(["a b"], WORD)
-        same, counts = count_terms(["b q b", "", "q"], WORD, vocab)
+        same, counts = count(["b q b", "", "q"], WORD, vocab)
         assert same is vocab
         assert counts.shape == (3, 2)
         assert counts.toarray().tolist() == [[0.0, 2.0], [0.0, 0.0], [0.0, 0.0]]
@@ -136,7 +148,7 @@ class TestFitVocabulary:
         for fitted in (None, vocab):  # a fit, then a transform
             tracemalloc.start()
             try:
-                count_terms([doc], DEFAULT_CHAR_ANALYZER, fitted)
+                count([doc], DEFAULT_CHAR_ANALYZER, fitted)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -160,13 +172,13 @@ def assert_counts_equal(counted, frozen):
     (vocab, counts), (frozen_vocab, frozen_counts) = counted, frozen
     assert vocab == frozen_vocab
     assert counts.shape == frozen_counts.shape
-    assert counts.data.dtype == np.float64
+    assert counts.data.dtype == np.int32
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(counts, name), getattr(frozen_counts, name)), name
 
 
 class TestCountTermsMatchesFrozenCounter:
-    """count_terms against the per-occurrence counter it replaced, for both analyzers and every range."""
+    """_count_levels and _join against the per-occurrence counter they replaced, for both analyzers and every range."""
 
     @pytest.mark.parametrize("ngram_range", _ALL_RANGES)
     @settings(max_examples=12, deadline=None)
@@ -174,7 +186,7 @@ class TestCountTermsMatchesFrozenCounter:
     def test_fit_and_transform(self, ngram_range, texts, others):
         for kind in AnalyzerKind:
             analyzer = Analyzer(kind, *ngram_range)
-            assert_counts_equal(count_terms(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
+            assert_counts_equal(count(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
             # A vocabulary fitted on other texts, so grams out of it are dropped; and the same
             # terms numbered out of str order (by their reversal), as a parsed file may number them.
             vocab = oracles.frozen_count_terms(others, analyzer)[0]
@@ -183,7 +195,7 @@ class TestCountTermsMatchesFrozenCounter:
                 tuple(vocab.terms[i] for i in order), tuple(vocab.document_frequency[i] for i in order), vocab.n_documents
             )
             for fitted in (vocab, reordered):
-                counted = count_terms(texts, analyzer, fitted)
+                counted = count(texts, analyzer, fitted)
                 assert counted[0] is fitted
                 assert_counts_equal(counted, oracles.frozen_count_terms(texts, analyzer, fitted))
 
@@ -195,13 +207,13 @@ class TestCountTermsMatchesFrozenCounter:
         alphabet = [chr(code) for code in range(0x4E00, 0x4E00 + 100_000)]
         texts, others = (["".join(rng.choices(alphabet, k=size))] for size in (200_000, 50_000))
         analyzer = Analyzer(AnalyzerKind.CHAR, 3, 3)
-        assert_counts_equal(count_terms(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
-        vocab = count_terms(others, analyzer)[0]
-        assert_counts_equal(count_terms(texts, analyzer, vocab), oracles.frozen_count_terms(texts, analyzer, vocab))
+        assert_counts_equal(count(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
+        vocab = count(others, analyzer)[0]
+        assert_counts_equal(count(texts, analyzer, vocab), oracles.frozen_count_terms(texts, analyzer, vocab))
         # 30k texts and about 90k distinct unigrams: the (text, unigram) pair key passes 2**31 too.
         texts = ["".join(rng.choices(alphabet, k=8)) for _ in range(30_000)]
         unigrams = Analyzer(AnalyzerKind.CHAR, 1, 1)
-        assert_counts_equal(count_terms(texts, unigrams), oracles.frozen_count_terms(texts, unigrams))
+        assert_counts_equal(count(texts, unigrams), oracles.frozen_count_terms(texts, unigrams))
 
     def test_examples_hold_every_piece(self):
         text = "".join(_COUNT_PIECES) + " ΣΣ σς İİ"
@@ -209,7 +221,7 @@ class TestCountTermsMatchesFrozenCounter:
             for kind in AnalyzerKind:
                 analyzer = Analyzer(kind, *ngram_range)
                 texts = [text, "", "a", text[::-1]]
-                assert_counts_equal(count_terms(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
+                assert_counts_equal(count(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
 
 
 class TestPrepareDocuments:
