@@ -4,13 +4,16 @@ Configuration is a flat ``key = value`` file with one section per module
 (see _SCHEMA); every setting can also be passed as ``--section.key value``,
 which overrides the file.  The environment variable CODEMIX_SEED overrides
 the configured seed.  Exit codes: 0 success, 2 config error, 3 data error, a
-non-UTF-8 input or an OSError (unreadable input, unwritable output.dir), 4 numeric failure.
+non-UTF-8 input or an OSError (unreadable input, unwritable output.dir, a grid's
+doc mode process that died without reporting), 4 numeric failure.
 """
 
 import argparse
 import configparser
+import functools
 import hashlib
 import itertools
+import multiprocessing
 import os
 import sys
 from collections.abc import Callable, Sequence
@@ -22,6 +25,7 @@ from scipy.sparse import csr_matrix
 from .corpus import (
     Dataset,
     LangTag,
+    Sentiment,
     concat_datasets,
     parse_conll,
     parse_monolingual_csv,
@@ -359,6 +363,83 @@ _GRID_CELLS = [(kind, mode) for kind in ModelKind for mode in DocMode]
 _LINEAR_KINDS = (ModelKind.LR, ModelKind.SVM)
 
 
+def _grid_mode(
+    configs: dict[tuple[ModelKind, DocMode], RunConfig],
+    dataset: Dataset,
+    labels: list[Sentiment],
+    texts: list[str],
+    gold: list[Sentiment],
+    dev_texts: list[str],
+    mode: DocMode,
+) -> dict[ModelKind, EvalReport]:
+    """Featurize, train, write and score one doc mode's cells, in kind order; its first failure stops it."""
+    tfidf, features = _featurize(configs[ModelKind.LR, mode], dataset, texts)
+    tfidf_text = format_tfidf(tfidf)  # the mode's three cells share one tfidf.txt
+    # LR and SVM advance over one batch stream, which depends only on the matrix and the shared
+    # seed, epochs and batch size; MNB is closed form.
+    trained = fit_all(features, labels, [configs[kind, mode].train for kind in _LINEAR_KINDS])
+    linear = dict(zip(_LINEAR_KINDS, trained))
+    dev_features = None  # built after the first write: held through that write it raised peak RSS ~2%
+    reports: dict[ModelKind, EvalReport] = {}
+    for kind in ModelKind:
+        config = configs[kind, mode]
+        classifier = linear[kind] if kind in linear else fit(features, labels, config.train)
+        cell_dir = os.path.join(config.values["output.dir"], "grid", f"{kind.value}_{mode.value}")
+        _write_artifacts(config, tfidf, classifier, len(dataset), cell_dir, tfidf_text)
+        if dev_features is None:
+            dev_features = transform_batch(tfidf, dev_texts)
+        reports[kind] = score(gold, predict_batch(classifier, dev_features))
+    return reports
+
+
+# (True, what a doc mode returned) or (False, the exception it raised).
+_Outcome = tuple[bool, object]
+
+
+def _outcome(run_mode: Callable[[DocMode], object], mode: DocMode) -> _Outcome:
+    try:
+        return True, run_mode(mode)
+    except Exception as exc:  # noqa: BLE001 - raised by _run_doc_modes once every mode has finished
+        return False, exc
+
+
+def _outcomes_side_by_side(run_mode: Callable[[DocMode], object]) -> list[_Outcome]:
+    """The last doc mode runs in a forked child, which inherits run_mode's inputs and sends back only its
+    outcome, while this process runs the others.  The child is joined before this returns or raises."""
+    *here, there = DocMode
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: sender.send(_outcome(run_mode, there)))
+    child.start()
+    sender.close()  # with only the child's copy open, recv() raises EOFError if the child dies without sending
+    try:
+        outcomes = [_outcome(run_mode, mode) for mode in here]
+        try:
+            outcomes.append(receiver.recv())
+        except EOFError:
+            child.join()
+            message = f"the {there.value} doc mode's process exited with code {child.exitcode} before it reported"
+            outcomes.append((False, ChildProcessError(message)))
+    finally:
+        receiver.close()
+        child.join()
+    return outcomes
+
+
+def _run_doc_modes(run_mode: Callable[[DocMode], object]) -> list:
+    """run_mode(mode) for every DocMode, in DocMode order: side by side where the platform can fork, else
+    one after the other.  A failing mode does not stop the others; once all have finished, the first
+    failure in DocMode order is raised."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        outcomes = _outcomes_side_by_side(run_mode)
+    else:
+        outcomes = [_outcome(run_mode, mode) for mode in DocMode]
+    for succeeded, value in outcomes:
+        if not succeeded:
+            raise value
+    return [value for _, value in outcomes]
+
+
 def _cmd_grid(args: argparse.Namespace) -> int:
     base = _collect_settings(args)
     configs: dict[tuple[ModelKind, DocMode], RunConfig] = {}
@@ -375,23 +456,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     labels, gold = require_labels(dataset), require_labels(dev)
     lexicon = _load_lexicon(config)
     texts, dev_texts = (_preprocess_texts(config, data, lexicon) for data in (dataset, dev))
-    reports: dict[tuple[ModelKind, DocMode], EvalReport] = {}
-    for mode in DocMode:
-        tfidf, features = _featurize(configs[ModelKind.LR, mode], dataset, texts)
-        tfidf_text = format_tfidf(tfidf)  # the mode's three cells share one tfidf.txt
-        # LR and SVM advance over one batch stream, which depends only on the matrix and the shared
-        # seed, epochs and batch size; MNB is closed form.
-        trained = fit_all(features, labels, [configs[kind, mode].train for kind in _LINEAR_KINDS])
-        linear = dict(zip(_LINEAR_KINDS, trained))
-        dev_features = None  # built after the first write: held through that write it raised peak RSS ~2%
-        for kind in ModelKind:
-            classifier = linear[kind] if kind in linear else fit(features, labels, configs[kind, mode].train)
-            cell_dir = os.path.join(config.values["output.dir"], "grid", f"{kind.value}_{mode.value}")
-            _write_artifacts(configs[kind, mode], tfidf, classifier, len(dataset), cell_dir, tfidf_text)
-            if dev_features is None:
-                dev_features = transform_batch(tfidf, dev_texts)
-            reports[kind, mode] = score(gold, predict_batch(classifier, dev_features))
-        del tfidf, tfidf_text, features, dev_features, trained, linear, classifier  # hold one doc mode's data at a time
+    by_mode = _run_doc_modes(functools.partial(_grid_mode, configs, dataset, labels, texts, gold, dev_texts))
+    reports = {(kind, mode): report for mode, cells in zip(DocMode, by_mode) for kind, report in cells.items()}
     rows = [GridRow(kind.value.upper(), mode.display_label, reports[kind, mode]) for kind, mode in _GRID_CELLS]
     print(comparison_grid(rows))
     print()

@@ -116,6 +116,12 @@ def _hinge_loss(scores: np.ndarray, y_idx: np.ndarray):
 _SCORE_LOSS = {ModelKind.LR: _softmax_loss, ModelKind.SVM: _hinge_loss}
 
 
+def _sum_of_squares(a: np.ndarray) -> float:
+    """The sum of a 2-d array's squared entries, by einsum's own loop rather than BLAS: a step then uses one
+    core, so a grid's two doc modes can train side by side.  Like BLAS, it overflows to inf without a warning."""
+    return float(np.einsum("ij,ij->", a, a))
+
+
 class _SgdState:
     """One LR or SVM model on its way through a batch stream: W = s * V.T and the bias b.
 
@@ -141,9 +147,9 @@ class _SgdState:
         if self.s < 1e-9:  # the decay wiped out or flipped W: fold s into V rather than divide by it
             self.V *= self.s
             block *= self.s
-            self.s, self.sq_norm = 1.0, float(np.vdot(self.V, self.V))
+            self.s, self.sq_norm = 1.0, _sum_of_squares(self.V)
         updated = block - (self.lr / self.s) * (local_t @ grad_scores)
-        self.sq_norm += float(np.vdot(updated, updated)) - float(np.vdot(block, block))
+        self.sq_norm += _sum_of_squares(updated) - _sum_of_squares(block)
         self.records.put(columns, updated.view(self.records.dtype).reshape(-1))
         self.b -= self.lr * grad_scores.sum(axis=0)
 

@@ -72,15 +72,16 @@ class EmojiLexicon:
 
     @classmethod
     def from_file(cls, path: str) -> "EmojiLexicon":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_lines(handle, origin=str(path))
+        """Lines end only at a line feed, as in from_lines: a lone carriage return stays inside its line."""
+        with open(path, encoding="utf-8", newline="") as handle:
+            return cls.from_lines(handle.read().split("\n"), origin=str(path))
 
 
 @lru_cache(maxsize=None)
 def default_lexicon() -> EmojiLexicon:
     """The bundled lexicon: CLDR-style emoji names plus ASCII emoticons."""
-    text = resources.files(__package__).joinpath(_LEXICON_RESOURCE).read_text("utf-8")
-    return EmojiLexicon.from_lines(text.splitlines(), origin=_LEXICON_RESOURCE)
+    text = resources.files(__package__).joinpath(_LEXICON_RESOURCE).read_bytes().decode("utf-8")
+    return EmojiLexicon.from_lines(text.split("\n"), origin=_LEXICON_RESOURCE)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import dataclasses
+import multiprocessing
 import os
+import shutil
+import signal
 from collections import Counter
 from pathlib import Path
 
@@ -29,6 +32,27 @@ def write_config(path, train, dev=None, out_dir="out", extra=""):
         f"[data]\ntrain = {train}\n{dev_line}\n[output]\ndir = {out_dir}\n{extra}",
         encoding="utf-8",
     )
+
+
+FORKS = "fork" in multiprocessing.get_all_start_methods()
+
+
+def record_calls(monkeypatch, module, name, log, describe):
+    """Replace module.name with a wrapper that appends describe(*args, **kwargs) to the file log, one line
+    per call, so that calls made in a grid's forked child are recorded too."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{describe(*args, **kwargs)}\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def recorded(log):
+    """The lines record_calls appended to log, sorted: two processes' calls interleave."""
+    return sorted(log.read_text(encoding="utf-8").splitlines()) if log.exists() else []
 
 
 @pytest.fixture()
@@ -529,6 +553,14 @@ class TestPreprocessCommand:
         assert code == 2
         assert "config error" in err
 
+    def test_lexicon_lines_end_only_at_line_feeds(self, tmp_path, capsys):
+        # A lone \r is part of its key, as the block parser keeps it inside its line; \r\n ends a line.
+        lex = tmp_path / "lex.tsv"
+        lex.write_bytes(b"a\rb\tname one\r\n:)\tsmiley\r\n")
+        write_corpus(tmp_path / "one.txt", Dataset("one", (synth.make_tweet("1", ["hola", ":)"]),)))
+        args = ["preprocess", "--data", tmp_path / "one.txt", "--data.lexicon", lex]
+        assert run(args, capsys) == (0, "hola smiley\n", "")
+
     def test_comment_only_lexicon_replaces_nothing(self, tmp_path, capsys):
         lex = tmp_path / "lex.tsv"
         lex.write_text("# no entries\n", encoding="utf-8")
@@ -540,6 +572,11 @@ class TestPreprocessCommand:
 
 
 class TestGridCommand:
+    @pytest.fixture(autouse=True)
+    def no_child_is_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
     def test_runs_all_six_cells(self, workspace, capsys):
         code, out, _ = run(["grid", "--config", workspace / "cfg.ini"], capsys)
         assert code == 0
@@ -600,46 +637,35 @@ class TestGridCommand:
             assert f"metric.macro_f1={printed}" in out.splitlines()
 
     def test_preprocesses_once_and_fits_one_vectorizer_per_doc_mode(self, workspace, capsys, monkeypatch):
-        calls = Counter()
-
-        def counting(name, original):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            return wrapper
-
         # fit_tfidf serves per_class_concatenated and fit_transform all_documents.
+        log = workspace / "calls.log"
         for name in ("run_pipeline", "fit_tfidf", "fit_transform"):
-            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+            record_calls(monkeypatch, cli, name, log, lambda *args, name=name, **kwargs: name)
         self.grid_cells(workspace, capsys)
-        assert calls == {"run_pipeline": 90 + 30, "fit_tfidf": 1, "fit_transform": 1}
+        assert Counter(recorded(log)) == {"run_pipeline": 90 + 30, "fit_tfidf": 1, "fit_transform": 1}
 
     def test_trains_lr_and_svm_of_a_doc_mode_on_one_batch_stream(self, workspace, capsys, monkeypatch):
-        streams = []
-
-        def recording(X, y_idx, n_classes, configs):
-            streams.append([cfg.model_kind for cfg in configs])
-            return original(X, y_idx, n_classes, configs)
-
-        original = models._gradient_descent
-        monkeypatch.setattr(models, "_gradient_descent", recording)
+        log = workspace / "streams.log"
+        describe = lambda X, y_idx, n_classes, configs: " ".join(cfg.model_kind.value for cfg in configs)  # noqa: E731
+        record_calls(monkeypatch, models, "_gradient_descent", log, describe)
         self.grid_cells(workspace, capsys)
-        assert streams == [[ModelKind.LR, ModelKind.SVM]] * len(DocMode)
+        assert recorded(log) == ["lr svm"] * len(DocMode)
 
     @pytest.mark.parametrize(
         "flags, message, cells",
         [
-            # LR steps first on the shared stream and diverges in the first doc mode, before any cell is written.
+            # LR steps first on the shared stream and diverges in each doc mode, before any cell is written.
             (
                 ["--train.learning_rate", "1e200", "--train.l2_lambda", "1e-300"],
                 "lr training loss became non-finite at epoch 1",
                 [],
             ),
-            # MNB is fitted after the LR cell of its doc mode is written.
+            # MNB is fitted after the LR cell of its doc mode is written, and one mode's failure does not
+            # stop the other.
             (
                 ["--train.mnb_alpha", "1e308"],
                 "naive Bayes log-likelihoods are not finite with mnb_alpha 1e+308",
-                ["lr_per_class_concatenated"],
+                ["lr_all_documents", "lr_per_class_concatenated"],
             ),
         ],
     )
@@ -653,16 +679,89 @@ class TestGridCommand:
             assert sorted(os.listdir(grid_dir / cell)) == ["manifest.txt", "model.txt", "tfidf.txt"]
 
     def test_formats_each_doc_modes_tfidf_once(self, workspace, capsys, monkeypatch):
-        formatted = []
-
-        def counting(model):
-            formatted.append(model.mode)
-            return original(model)
-
-        original = cli.format_tfidf
-        monkeypatch.setattr(cli, "format_tfidf", counting)
+        log = workspace / "formatted.log"
+        record_calls(monkeypatch, cli, "format_tfidf", log, lambda model: model.mode.value)
         self.grid_cells(workspace, capsys)
-        assert formatted == list(DocMode)
+        assert recorded(log) == sorted(mode.value for mode in DocMode)
+
+    def grid_on_both_paths(self, workspace, capsys, monkeypatch, flags=(), out_dir="out"):
+        """Per path, fork first: the grid's exit code, stdout and stderr, every file under its out_dir by
+        relative path (the file's own bytes as "." when out_dir is a file), and the process each doc mode
+        ran in, "parent" or "child"."""
+        log = workspace / "modes.log"
+        record_calls(monkeypatch, cli, "_grid_mode", log, lambda *args: f"{args[-1].value} {os.getpid()}")
+        out_dir = workspace / out_dir
+        results = []
+        for forks in (True, False):
+            if out_dir.is_dir():
+                shutil.rmtree(out_dir)
+            log.unlink(missing_ok=True)
+            with monkeypatch.context() as patch:
+                if not forks:
+                    patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+                args = ["grid", "--config", workspace / "cfg.ini", "--output.dir", out_dir, *self.EPOCHS, *flags]
+                outcome = run(args, capsys)
+            files = {".": out_dir.read_bytes()} if out_dir.is_file() else {
+                path.relative_to(out_dir).as_posix(): path.read_bytes() for path in out_dir.rglob("*") if path.is_file()
+            }
+            modes = dict(line.split() for line in recorded(log))
+            ran_in = {mode: "parent" if int(pid) == os.getpid() else "child" for mode, pid in modes.items()}
+            results.append((*outcome, files, ran_in))
+        return results
+
+    @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+    def test_the_fork_and_in_process_paths_give_the_same_bytes(self, workspace, capsys, monkeypatch):
+        forked, in_process = self.grid_on_both_paths(workspace, capsys, monkeypatch)
+        assert forked[-1] == {"per_class_concatenated": "parent", "all_documents": "child"}
+        assert in_process[-1] == {"per_class_concatenated": "parent", "all_documents": "parent"}
+        assert forked[:-1] == in_process[:-1]
+        code, out, err, files, _ = forked
+        assert (code, err) == (0, "") and out.count("grid.") == 7
+        assert len(files) == 3 * 6
+
+    @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+    @pytest.mark.parametrize(
+        "flags, out_dir, code, cells",
+        [
+            (["--train.learning_rate", "1e200", "--train.l2_lambda", "1e-300"], "out", 4, []),
+            (["--train.mnb_alpha", "1e308"], "out", 4, ["lr_all_documents", "lr_per_class_concatenated"]),
+            ([], "taken", 3, []),
+        ],
+        ids=["lr_diverges", "mnb_alpha_1e308", "output_dir_is_a_file"],
+    )
+    def test_the_fork_and_in_process_paths_fail_alike(self, workspace, capsys, monkeypatch, flags, out_dir, code, cells):
+        (workspace / "taken").write_text("a file\n", encoding="utf-8")
+        forked, in_process = self.grid_on_both_paths(workspace, capsys, monkeypatch, flags, out_dir)
+        assert forked[:-1] == in_process[:-1]
+        found, out, err, files, _ = forked
+        assert (found, out) == (code, "") and err.count("\n") == 1, err
+        assert sorted({path.split("/")[1] for path in files if path != "."}) == cells
+        assert len(files) == 3 * len(cells) + (out_dir == "taken")
+
+    @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+    def test_a_child_that_dies_fails_the_grid_naming_its_doc_mode(self, workspace, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return original(*args)
+
+        def timed_out(signum, frame):
+            raise TimeoutError("grid still waits for a child that died")
+
+        original = cli.fit_all
+        monkeypatch.setattr(cli, "fit_all", dying)
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            code, out, err = run(["grid", "--config", workspace / "cfg.ini", *self.EPOCHS], capsys)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        message = "the all_documents doc mode's process exited with code 9 before it reported"
+        assert (code, out, err) == (3, "", f"i/o error: {message}\n")
+        assert sorted(os.listdir(workspace / "out" / "grid")) == [f"{kind.value}_per_class_concatenated" for kind in ModelKind]
 
 
 ADVERSARIAL_INPUTS = [

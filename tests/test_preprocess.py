@@ -387,6 +387,12 @@ class TestEmojiLexicon:
         path.write_text(":D\tgrinning face\n", encoding="utf-8")
         assert EmojiLexicon.from_file(str(path)).name_of(":D") == "grinning face"
 
+    def test_from_file_ends_lines_only_at_line_feeds(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"a\rb\tname one\r\n:D\tgrinning face")
+        lexicon = EmojiLexicon.from_file(str(path))
+        assert (lexicon.name_of("a\rb"), lexicon.name_of(":D")) == ("name one", "grinning face")
+
     def test_default_lexicon_has_core_entries(self, lexicon):
         for key, name in [
             ("<3", "heart"),
