@@ -17,7 +17,7 @@ from .corpus import (
     parse_monolingual_csv,
 )
 from .errors import CodemixError, ConfigError, DataError, NumericError, ParseError
-from .evaluation import ConfusionMatrix, EvalReport, GridRow, comparison_grid, score
+from .evaluation import EvalReport, GridRow, comparison_grid, score
 from .models import (
     LinearModel,
     ModelKind,
@@ -46,7 +46,6 @@ __all__ = [
     "AnalyzerKind",
     "CodemixError",
     "ConfigError",
-    "ConfusionMatrix",
     "DataError",
     "Dataset",
     "DocMode",

@@ -2,10 +2,10 @@
 
 Configuration is a flat ``key = value`` file with one section per module
 (see _SCHEMA); every setting can also be passed as ``--section.key value``,
-which overrides the file.  The environment variable CODEMIX_SEED overrides
-the configured seed.  Exit codes: 0 success, 2 config error, 3 data error, a
-non-UTF-8 input or an OSError (unreadable input, unwritable output.dir, a grid's
-doc mode process that died without reporting), 4 numeric failure.
+which overrides the file.  Exit codes: 0 success, 2 config error, 3 data
+error, a non-UTF-8 input or an OSError (unreadable input, unwritable
+output.dir, a grid's doc mode process that died without reporting), 4 numeric
+failure.
 """
 
 import argparse
@@ -61,7 +61,6 @@ from .vectorize import (
 TFIDF_FILE = "tfidf.txt"
 MODEL_FILE = "model.txt"
 MANIFEST_FILE = "manifest.txt"
-SEED_ENV_VAR = "CODEMIX_SEED"
 
 
 def _parse_bool(raw: str) -> bool:
@@ -125,7 +124,7 @@ Settings = dict[tuple[str, str], str]
 
 
 def _collect_settings(args: argparse.Namespace) -> Settings:
-    """Merge config file, --section.key overrides and the seed env var."""
+    """Merge the config file and the --section.key overrides, which win."""
     settings: Settings = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -151,8 +150,6 @@ def _collect_settings(args: argparse.Namespace) -> Settings:
             raw = getattr(args, f"{section}__{key}", None)
             if raw is not None:
                 settings[(section, key)] = raw
-    if os.environ.get(SEED_ENV_VAR):
-        settings[("train", "seed")] = os.environ[SEED_ENV_VAR]
     return settings
 
 
@@ -222,7 +219,7 @@ def _load_training_data(config: RunConfig) -> Dataset:
         _require_file(aux_path, "data.aux_csv")
         with open(aux_path, encoding="utf-8", newline="") as handle:
             aux = parse_monolingual_csv(
-                handle,
+                handle.read(),
                 label_column=config.values["data.aux_label_column"],
                 text_column=config.values["data.aux_text_column"],
                 lang=config.values["data.aux_lang"],
@@ -392,52 +389,42 @@ def _grid_mode(
     return reports
 
 
-# (True, what a doc mode returned) or (False, the exception it raised).
-_Outcome = tuple[bool, object]
-
-
-def _outcome(run_mode: Callable[[DocMode], object], mode: DocMode) -> _Outcome:
-    try:
-        return True, run_mode(mode)
-    except Exception as exc:  # noqa: BLE001 - raised by _run_doc_modes once every mode has finished
-        return False, exc
-
-
-def _outcomes_side_by_side(run_mode: Callable[[DocMode], object]) -> list[_Outcome]:
-    """The last doc mode runs in a forked child, which inherits run_mode's inputs and sends back only its
-    outcome, while this process runs the others.  The child is joined before this returns or raises."""
-    *here, there = DocMode
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=lambda: sender.send(_outcome(run_mode, there)))
-    child.start()
-    sender.close()  # with only the child's copy open, recv() raises EOFError if the child dies without sending
-    try:
-        outcomes = [_outcome(run_mode, mode) for mode in here]
-        try:
-            outcomes.append(receiver.recv())
-        except EOFError:
-            child.join()
-            message = f"the {there.value} doc mode's process exited with code {child.exitcode} before it reported"
-            outcomes.append((False, ChildProcessError(message)))
-    finally:
-        receiver.close()
-        child.join()
-    return outcomes
-
-
 def _run_doc_modes(run_mode: Callable[[DocMode], object]) -> list:
-    """run_mode(mode) for every DocMode, in DocMode order: side by side where the platform can fork, else
-    one after the other.  A failing mode does not stop the others; once all have finished, the first
-    failure in DocMode order is raised."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        outcomes = _outcomes_side_by_side(run_mode)
+    """run_mode(mode) for every DocMode, in DocMode order.  Where the platform can fork, the last mode runs in
+    a forked child, which inherits run_mode's inputs and sends back only its result or the exception it
+    raised, while this process runs the others; the child is joined before this returns or raises.  A failing
+    mode does not stop the others; once all have finished, the first failure in DocMode order is raised."""
+
+    def result(mode: DocMode) -> object:
+        try:
+            return run_mode(mode)
+        except Exception as exc:  # noqa: BLE001 - raised below once every mode has finished
+            return exc
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        results = [result(mode) for mode in DocMode]
     else:
-        outcomes = [_outcome(run_mode, mode) for mode in DocMode]
-    for succeeded, value in outcomes:
-        if not succeeded:
+        *here, there = DocMode
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=lambda: sender.send(result(there)))
+        child.start()
+        sender.close()  # with only the child's copy open, recv() raises EOFError if the child dies without sending
+        try:
+            results = [result(mode) for mode in here]
+            try:
+                results.append(receiver.recv())
+            except EOFError:
+                child.join()
+                message = f"the {there.value} doc mode's process exited with code {child.exitcode} before it reported"
+                results.append(ChildProcessError(message))
+        finally:
+            receiver.close()
+            child.join()
+    for value in results:
+        if isinstance(value, Exception):
             raise value
-    return [value for _, value in outcomes]
+    return results
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:

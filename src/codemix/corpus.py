@@ -188,19 +188,18 @@ def format_conll(dataset: Dataset) -> str:
 
 
 def parse_monolingual_csv(
-    source: str | io.TextIOBase,
+    source: str,
     label_column: str,
     text_column: str,
     lang: LangTag = LangTag.LANG1,
     name: str = "csv",
 ) -> Dataset:
-    """Parse a labeled monolingual CSV; every token gets the same language tag.
+    """Parse a labeled monolingual CSV from a string; every token gets the same language tag.
 
-    Rows are whitespace-tokenized and ids are the 0-based data row indices.
+    Records end at "\r\n", "\n" or "\r", as the csv module reads them.  Rows are
+    whitespace-tokenized and ids are the 0-based data row indices.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
-    reader = csv.DictReader(source)
+    reader = csv.DictReader(io.StringIO(source, newline=""))
     if reader.fieldnames is None:
         raise ConfigError("CSV input has no header row")
     for column in (label_column, text_column):

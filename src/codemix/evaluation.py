@@ -23,15 +23,8 @@ class ClassMetrics:
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[gold][predicted], classes in ordinal order."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class EvalReport:
-    confusion: ConfusionMatrix
+    confusion: tuple[tuple[int, ...], ...]  # confusion[gold][predicted], classes in ordinal order
     per_class: dict[Sentiment, ClassMetrics]
     macro_f1: float
     accuracy: float
@@ -60,7 +53,7 @@ def score(gold: Sequence[Sentiment], pred: Sequence[Sentiment]) -> EvalReport:
         f1_total += f1
     accuracy = sum(counts[c][c] for c in range(_N)) / len(gold)
     return EvalReport(
-        confusion=ConfusionMatrix(counts=tuple(tuple(row) for row in counts)),
+        confusion=tuple(tuple(row) for row in counts),
         per_class=per_class,
         macro_f1=f1_total / _N,
         accuracy=accuracy,
@@ -89,7 +82,7 @@ def render_report(report: EvalReport) -> str:
     header = " " * width + "".join(f"{label:>{width}}" for label in labels)
     lines.append(header)
     for sentiment in Sentiment:
-        row = report.confusion.counts[int(sentiment)]
+        row = report.confusion[int(sentiment)]
         cells = "".join(f"{count:>{width}}" for count in row)
         lines.append(f"{sentiment.label:>{width}}{cells}")
     lines.append("")

@@ -91,10 +91,17 @@ class LinearModel:
         return self.weights.shape[1]
 
 
+def _libm(function, values: np.ndarray) -> np.ndarray:
+    """function (math.exp or math.log) of each of values, taken once per distinct value.  numpy's own exp and
+    log pick SIMD code by CPU at run time, whose last bits differ from libm's: model bytes must not vary by CPU."""
+    distinct = np.unique(values)  # searchsorted then holds fewer temporaries than return_inverse
+    return np.fromiter(map(function, distinct.tolist()), np.float64, distinct.size)[np.searchsorted(distinct, values)]
+
+
 def _softmax_loss(scores: np.ndarray, y_idx: np.ndarray):
     """Mean softmax cross-entropy of score rows and its gradient with respect to the scores."""
     n = scores.shape[0]
-    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    exp = _libm(math.exp, scores - scores.max(axis=1, keepdims=True))
     probs = exp / exp.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
         nll = -np.log(probs[np.arange(n), y_idx])
@@ -202,9 +209,9 @@ def mnb_parameters(X, y_idx: np.ndarray, n_classes: int, alpha: float):
         raise DataError(f"class index {missing} absent from training data")
     membership = sparse.csr_matrix((np.ones(n), (y_idx, np.arange(n))), shape=(n_classes, n))
     totals = (membership @ X).toarray()
-    log_prior = np.log(counts / n)
+    log_prior = _libm(math.log, counts / n)
     denom = totals.sum(axis=1, keepdims=True) + alpha * dim
-    log_likelihood = np.log((totals + alpha) / denom)
+    log_likelihood = _libm(math.log, (totals + alpha) / denom)
     return log_prior, log_likelihood
 
 
@@ -231,8 +238,11 @@ def fit_all(X: sparse.csr_matrix, y: Sequence[Sentiment], configs: Sequence[Trai
 
 
 def _fit_mnb(X: sparse.csr_matrix, y_idx: np.ndarray, cfg: TrainConfig) -> LinearModel:
-    with np.errstate(all="ignore"):  # an extreme alpha takes the log of 0, refused just below
-        log_prior, log_likelihood = mnb_parameters(X, y_idx, N_CLASSES, cfg.mnb_alpha)
+    try:
+        with np.errstate(all="ignore"):  # an extreme alpha overflows the denominator
+            log_prior, log_likelihood = mnb_parameters(X, y_idx, N_CLASSES, cfg.mnb_alpha)
+    except ValueError:  # math.log of a likelihood that an extreme alpha made 0
+        log_likelihood = np.array(-math.inf)
     if not np.all(np.isfinite(log_likelihood)):
         raise NumericError(f"naive Bayes log-likelihoods are not finite with mnb_alpha {cfg.mnb_alpha!r}")
     return LinearModel(kind=ModelKind.MNB, weights=log_likelihood, bias=log_prior, alpha=cfg.mnb_alpha)

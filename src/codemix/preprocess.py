@@ -99,11 +99,6 @@ class PipelineConfig:
             raise ConfigError(f"elongation_min_run must be between 2 and {_MAX_RUN}")
 
 
-def replace_emoji(text: str, lexicon: EmojiLexicon) -> str:
-    """Replace every lexicon match with its textual name, longest match first."""
-    return _squash(lexicon.spell(text)[0])
-
-
 def remove_mentions(text: str) -> str:
     """Drop every whitespace-delimited token that starts with '@'."""
     return " ".join(token for token in text.split() if not token.startswith("@"))

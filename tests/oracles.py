@@ -232,7 +232,7 @@ def frozen_softmax_cross_entropy(W, b, X, y_idx, l2_lambda):
     n = X.shape[0]
     logits = np.asarray(X @ W.T) + b
     logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
+    exp = np.vectorize(math.exp, otypes=[float])(logits)  # libm's exp, as the library takes it
     probs = exp / exp.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore"):
         nll = -np.log(probs[np.arange(n), y_idx])

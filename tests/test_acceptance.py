@@ -24,9 +24,9 @@ from codemix.evaluation import score
 from codemix.models import ModelKind, TrainConfig, _hinge_loss, _softmax_loss, fit
 from codemix.preprocess import (
     PipelineConfig,
+    _squash,
     collapse_elongation,
     default_lexicon,
-    replace_emoji,
     replace_urls,
     run_pipeline,
     segment_hashtags,
@@ -52,7 +52,7 @@ def _finish(name, started, limit_seconds):
 def test_golden_preprocessing():
     started = time.perf_counter()
     lexicon = default_lexicon()
-    assert replace_emoji("I love you so much , <3", lexicon) == "I love you so much smiley face heart"
+    assert _squash(lexicon.spell("I love you so much , <3")[0]) == "I love you so much smiley face heart"
     assert replace_urls("The article URL is www.example.com") == "The article URL is URL"
     assert collapse_elongation("Hiiiii everyone", 3) == "Hi everyone"
     assert segment_hashtags("We need to talk #HereWeGoAgain") == "We need to talk Here We Go Again"

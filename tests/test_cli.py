@@ -181,7 +181,6 @@ class TestTrain:
 
     def test_default_manifest_matches_golden(self, workspace, capsys, monkeypatch):
         monkeypatch.chdir(workspace)
-        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
         assert run(["train", "--data.train", "train.txt"], capsys)[0] == 0
         assert (workspace / "out" / "manifest.txt").read_text(encoding="utf-8") == GOLDEN_DEFAULT_MANIFEST
 
@@ -228,12 +227,15 @@ class TestTrain:
         manifest = (workspace / "out" / "manifest.txt").read_text(encoding="utf-8")
         assert "run.seed=9\n" in manifest
 
-    def test_env_var_overrides_seed(self, workspace, capsys, monkeypatch):
-        monkeypatch.setenv(cli.SEED_ENV_VAR, "777")
-        code, _, _ = run(["train", "--config", workspace / "cfg.ini"], capsys)
+    def test_seed_comes_from_the_config_not_the_environment(self, workspace, capsys, monkeypatch):
+        # The environment sets no setting: CODEMIX_SEED, which once overrode even --train.seed, is ignored.
+        monkeypatch.setenv("CODEMIX_SEED", "777")
+        extra = "[train]\nseed = 5\n"
+        write_config(workspace / "seed.ini", train=workspace / "train.txt", out_dir=workspace / "out", extra=extra)
+        code, _, _ = run(["train", "--config", workspace / "seed.ini"], capsys)
         assert code == 0
         manifest = (workspace / "out" / "manifest.txt").read_text(encoding="utf-8")
-        assert "run.seed=777\n" in manifest
+        assert "run.seed=5\n" in manifest
 
     def test_unknown_config_key_rejected(self, workspace, capsys):
         cfg = workspace / "bad.ini"
@@ -265,6 +267,15 @@ class TestTrain:
         assert code == 0
         manifest = (workspace / "out" / "manifest.txt").read_text(encoding="utf-8")
         assert "run.n_train_tweets=93\n" in manifest
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "bare_cr"])
+    def test_aux_csv_line_ends_read_as_line_feeds(self, workspace, capsys, line_end):
+        for name, text in (("lf", AUX_CSV), ("other", AUX_CSV.replace("\n", line_end))):
+            (workspace / "aux.csv").write_text(text, encoding="utf-8", newline="")
+            flags = ["--data.aux_csv", workspace / "aux.csv", "--output.dir", workspace / name]
+            assert run(["train", "--config", workspace / "cfg.ini", *flags], capsys)[0] == 0
+        for name in ("tfidf.txt", "model.txt"):
+            assert (workspace / "lf" / name).read_bytes() == (workspace / "other" / name).read_bytes()
 
     def test_padded_settings_train_as_unpadded(self, workspace, capsys):
         (workspace / "aux.csv").write_text(AUX_CSV, encoding="utf-8")
@@ -399,7 +410,6 @@ class TestEvalCommand:
     @pytest.mark.parametrize("line", GOLDEN_DEFAULT_MANIFEST.splitlines())
     def test_manifest_missing_a_line_is_data_error(self, workspace, capsys, monkeypatch, line):
         monkeypatch.chdir(workspace)
-        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
         assert run(["train", "--data.train", "train.txt"], capsys)[0] == 0
         manifest = workspace / "out" / "manifest.txt"
         assert manifest.read_text(encoding="utf-8") == GOLDEN_DEFAULT_MANIFEST

@@ -300,6 +300,11 @@ class TestParseMonolingualCsv:
         dataset = parse_monolingual_csv(csv_text, "label", "text")
         assert dataset[0].tokens == ("hola,", "amigo", "mio")
 
+    @pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "bare_cr"])
+    def test_line_ends_read_as_line_feeds(self, line_end):
+        text = CSV_TWO_ROWS.replace("\n", line_end)
+        assert parse_monolingual_csv(text, "label", "text") == parse_monolingual_csv(CSV_TWO_ROWS, "label", "text")
+
     def test_empty_text_reports_row(self):
         with pytest.raises(DataError, match="row 0"):
             parse_monolingual_csv("text,label\n,neutral\n", "label", "text")

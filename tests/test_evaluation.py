@@ -45,9 +45,9 @@ class TestScore:
 
     def test_confusion_matrix_layout(self):
         report = score([NEG, POS], [POS, POS])
-        assert report.confusion.counts[int(NEG)][int(POS)] == 1
-        assert report.confusion.counts[int(POS)][int(POS)] == 1
-        assert sum(map(sum, report.confusion.counts)) == 2
+        assert report.confusion[int(NEG)][int(POS)] == 1
+        assert report.confusion[int(POS)][int(POS)] == 1
+        assert sum(map(sum, report.confusion)) == 2
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
@@ -94,7 +94,7 @@ class TestScore:
             for metrics in report.per_class.values():
                 values += [metrics.precision, metrics.recall, metrics.f1]
             assert all(0.0 <= v <= 1.0 for v in values)
-            trace = sum(report.confusion.counts[c][c] for c in range(3))
+            trace = sum(report.confusion[c][c] for c in range(3))
             assert report.accuracy == trace / len(gold)
 
 

@@ -10,11 +10,15 @@ repository root (``PYTHONPATH=src python tests/test_golden.py``) and paste what 
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import codemix
 from codemix import cli
 
 DATA = Path(__file__).parent / "data"
@@ -33,7 +37,7 @@ GOLDEN_TRAIN = {
     },
     ("seed_corpus", "lr", "per_class_concatenated"): {
         "tfidf.txt": "680974f4221096ae3d15e07c1b0a1a2869d797c5afcc696cce55063498e95107",
-        "model.txt": "4804e1f3affb9a00dfcad79cb10adcc198a324101228c4dbb6493b847bda995b",
+        "model.txt": "82b1c2d16b15df88621ac172342360f413ba4072ed095d3fbea1c5dc8e9b0af3",
     },
     ("seed_corpus", "svm", "all_documents"): {
         "tfidf.txt": "bfe415cdef08dbba514b3c23bdb34f36dadb0b625e43add05f99225242cb4a82",
@@ -45,11 +49,11 @@ GOLDEN_TRAIN = {
     },
     ("synth_corpus", "lr", "all_documents"): {
         "tfidf.txt": "b1a0c2cd67b127f1eba07e8f4588fe1a65404032f3a4dd57c1fc26af4cf86c6b",
-        "model.txt": "a6428fc19ec191e399fef92e2f912d6307949869eac8150670f82c96c3c21fba",
+        "model.txt": "5d447f1dad958ada61ee33cc7e06eb6cddf4a057a780cb66a0b7d3ac0187c5d1",
     },
     ("synth_corpus", "lr", "per_class_concatenated"): {
         "tfidf.txt": "76d8660e3038b9af93316968f5d881c3a83a3c7b8d6ab691e9770857479195a9",
-        "model.txt": "fc2a8896b8ed8818701a82a057fac8ff69dce0360badda1bba246e6b29a42679",
+        "model.txt": "337949b4246bd8a7068d679d969c21cb56af348831b6cad677fb2bce7fce68a7",
     },
     ("synth_corpus", "svm", "all_documents"): {
         "tfidf.txt": "b1a0c2cd67b127f1eba07e8f4588fe1a65404032f3a4dd57c1fc26af4cf86c6b",
@@ -97,6 +101,40 @@ def test_train_writes_the_golden_bytes(tmp_path, corpus, kind, mode):
 @pytest.mark.parametrize("corpus", CORPORA)
 def test_preprocess_prints_the_golden_bytes(corpus):
     assert preprocess_digest(corpus) == GOLDEN_PREPROCESS[corpus]
+
+
+def avx512_dispatch_targets() -> list[str]:
+    """The AVX-512 targets that numpy dispatches to on this host, by the names NPY_DISABLE_CPU_FEATURES takes."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [
+        name
+        for name in umath.__cpu_dispatch__
+        if (name.startswith("AVX512") or name == "X86_V4") and umath.__cpu_features__.get(name)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["lr", "mnb"])
+def test_model_bytes_do_not_depend_on_numpy_simd(tmp_path, kind):
+    # numpy picks its exp and log code by CPU at run time, and its AVX-512 code differs from libm's in
+    # the last bit. The widest n-grams give MNB enough distinct likelihoods to hit such a value.
+    targets = avx512_dispatch_targets()
+    if not targets:
+        pytest.skip("numpy runs no AVX-512 code here: the CPU lacks it, or NPY_DISABLE_CPU_FEATURES turned it off")
+    args = [
+        "train", "--data.train", str(DATA / "synth_corpus.txt"), "--train.model", kind, "--train.epochs", str(EPOCHS),
+        "--vectorize.word_ngram_max", "3", "--vectorize.char_ngram_min", "1", "--vectorize.char_ngram_max", "8",
+    ]
+    with redirect_stdout(io.StringIO()):
+        assert cli.main([*args, "--output.dir", str(tmp_path / "simd")]) == 0
+    path = os.pathsep.join(filter(None, [str(Path(codemix.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets), "PYTHONPATH": path}
+    command = [sys.executable, "-m", "codemix.cli", *args, "--output.dir", str(tmp_path / "libm")]
+    subprocess.run(command, env=env, check=True, capture_output=True)
+    for name in ARTIFACTS:
+        assert (tmp_path / "simd" / name).read_bytes() == (tmp_path / "libm" / name).read_bytes(), name
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from codemix.preprocess import (
     default_lexicon,
     remove_mentions,
     remove_non_ascii,
-    replace_emoji,
     replace_urls,
     run_pipeline,
     segment_hashtags,
@@ -41,27 +40,32 @@ RULE_ONLY_CONFIGS = {
 }
 
 
+def emoji_rule(text, lexicon):
+    """The emoji rule as the pipeline applies it: one scan that spells every key, then squashed spaces."""
+    return preprocess._squash(lexicon.spell(text)[0])
+
+
 class TestReplaceEmoji:
     @pytest.mark.parametrize("text,expected", [GOLDEN_EXAMPLES[0][1:]])
     def test_golden(self, lexicon, text, expected):
-        assert replace_emoji(text, lexicon) == expected
+        assert emoji_rule(text, lexicon) == expected
 
     def test_empty(self, lexicon):
-        assert replace_emoji("", lexicon) == ""
+        assert emoji_rule("", lexicon) == ""
 
     def test_adjacent_hearts(self, lexicon):
         # longest-match applied by hand: two independent "<3" matches
-        assert replace_emoji("<3<3", lexicon) == "heart heart"
+        assert emoji_rule("<3<3", lexicon) == "heart heart"
 
     def test_longest_match_first(self):
         lex = EmojiLexicon({":(": "sad face", ":((": "very sad face"})
-        assert replace_emoji("so :(( bad", lex) == "so very sad face bad"
+        assert emoji_rule("so :(( bad", lex) == "so very sad face bad"
 
     def test_unknown_emoji_pass_through(self, lexicon):
-        assert replace_emoji("novel \U0001fae9 glyph", lexicon) == "novel \U0001fae9 glyph"
+        assert emoji_rule("novel \U0001fae9 glyph", lexicon) == "novel \U0001fae9 glyph"
 
     def test_unicode_emoji(self, lexicon):
-        assert replace_emoji("jaja \U0001f602", lexicon) == "jaja face with tears of joy"
+        assert emoji_rule("jaja \U0001f602", lexicon) == "jaja face with tears of joy"
 
 
 class TestRemoveMentions:
@@ -203,7 +207,7 @@ class TestProperties:
     @given(text=texts)
     def test_rules_are_idempotent(self, lexicon, text):
         for rule in (
-            lambda s: replace_emoji(s, lexicon),
+            lambda s: emoji_rule(s, lexicon),
             remove_mentions,
             replace_urls,
             lambda s: collapse_elongation(s, 3),
@@ -260,14 +264,14 @@ class TestMatchesFrozenRules:
 
     @given(text=mixed_texts)
     def test_replace_emoji_default_lexicon(self, lexicon, text):
-        assert replace_emoji(text, lexicon) == oracles.frozen_replace_emoji(text, lexicon._entries)
+        assert emoji_rule(text, lexicon) == oracles.frozen_replace_emoji(text, lexicon._entries)
 
     @given(text=mixed_texts, entries=lexicons)
     @example(text="aab ab b", entries={"a": "x", "ab": "y", "b ": "z"})
     @example(text="İi ii", entries={"i": "dot", "İ": "cap"})
     @example(text="ñ 😀 :) x", entries={})
     def test_replace_emoji_random_lexicon(self, text, entries):
-        assert replace_emoji(text, EmojiLexicon(entries)) == oracles.frozen_replace_emoji(text, entries)
+        assert emoji_rule(text, EmojiLexicon(entries)) == oracles.frozen_replace_emoji(text, entries)
 
     @given(text=mixed_texts, min_run=st.integers(2, 5))
     @example(text="İii", min_run=3)
