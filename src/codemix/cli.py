@@ -10,6 +10,7 @@ failure.
 
 import argparse
 import configparser
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -262,8 +263,10 @@ def _manifest_lines(config: RunConfig, tfidf: TfIdfModel, model: LinearModel, n_
 def _write_artifacts(
     config: RunConfig, tfidf: TfIdfModel, model: LinearModel, n_train: int, out_dir: str, tfidf_text: str | None = None
 ) -> None:
-    """Write the tfidf (tfidf_text if given) and model artifacts, then the manifest that describes them."""
+    """Remove any stale manifest, write the tfidf (tfidf_text if given) and model, then a manifest of them."""
     os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, MANIFEST_FILE))
     save_tfidf(tfidf, os.path.join(out_dir, TFIDF_FILE), tfidf_text)
     save_model(model, os.path.join(out_dir, MODEL_FILE))
     with open(os.path.join(out_dir, MANIFEST_FILE), "w", encoding="utf-8", newline="\n") as handle:

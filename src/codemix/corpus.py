@@ -197,24 +197,28 @@ def parse_monolingual_csv(
     """Parse a labeled monolingual CSV from a string; every token gets the same language tag.
 
     Records end at "\r\n", "\n" or "\r", as the csv module reads them.  Rows are
-    whitespace-tokenized and ids are the 0-based data row indices.
+    whitespace-tokenized and ids are the 0-based data row indices.  A record that the
+    csv module refuses is a DataError.
     """
     reader = csv.DictReader(io.StringIO(source, newline=""))
-    if reader.fieldnames is None:
-        raise ConfigError("CSV input has no header row")
-    for column in (label_column, text_column):
-        if column not in reader.fieldnames:
-            raise ConfigError(f"CSV is missing required column {column!r}")
-    tweets = []
-    for index, row in enumerate(reader):
-        try:
-            sentiment = Sentiment.from_label(row[label_column] or "")
-        except DataError as exc:
-            raise DataError(f"row {index}: {exc}") from None
-        words = (row[text_column] or "").split()
-        if not words:
-            raise DataError(f"row {index}: empty text")
-        tweets.append(Tweet(str(index), tuple(words), (lang,) * len(words), sentiment))
+    try:
+        if reader.fieldnames is None:
+            raise ConfigError("CSV input has no header row")
+        for column in (label_column, text_column):
+            if column not in reader.fieldnames:
+                raise ConfigError(f"CSV is missing required column {column!r}")
+        tweets = []
+        for index, row in enumerate(reader):
+            try:
+                sentiment = Sentiment.from_label(row[label_column] or "")
+            except DataError as exc:
+                raise DataError(f"row {index}: {exc}") from None
+            words = (row[text_column] or "").split()
+            if not words:
+                raise DataError(f"row {index}: empty text")
+            tweets.append(Tweet(str(index), tuple(words), (lang,) * len(words), sentiment))
+    except csv.Error as exc:  # e.g. a field longer than csv.field_size_limit()
+        raise DataError(f"CSV line {reader.reader.line_num}: {exc}") from None
     return Dataset(name=name, tweets=tuple(tweets))
 
 

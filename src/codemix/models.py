@@ -292,8 +292,10 @@ def _model_lines(model: LinearModel):
 def parse_model(text: str) -> LinearModel:
     """The model save_model wrote as text.  Only that layout loads: a header equal to the one
     the parsed model is written with, then one line of finite parameters per class, all ending
-    in "\n" (the last may lack it).  No blank line is skipped and "\r\n" is refused."""
-    lines = text.removesuffix("\n").split("\n")
+    in "\n" (the last one too).  No blank line is skipped and "\r\n" is refused."""
+    if not text.endswith("\n"):
+        raise DataError("model file does not end in a line feed")
+    lines = text[:-1].split("\n")
     if not lines[0].startswith(FORMAT_VERSION + " "):
         raise DataError("not a model v1 file")
     if len(lines) != 1 + N_CLASSES:

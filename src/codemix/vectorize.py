@@ -341,10 +341,12 @@ def format_tfidf(model: TfIdfModel) -> str:
 
 def parse_tfidf(text: str) -> TfIdfModel:
     """The model format_tfidf wrote as text, read in one pass.  Only that layout loads: "\n"
-    line ends (the last may be missing), the header format_tfidf writes for the parsed model,
+    line ends (the last one too), the header format_tfidf writes for the parsed model,
     then the word block's term lines and the char block's, each in index order, with decimal
     indices and dfs as str() writes them.  Nothing is repaired: anything else is a DataError."""
-    lines = text.removesuffix("\n").split("\n")  # not splitlines(): terms may hold "\x0b", "\x85", "\u2028", ...
+    if not text.endswith("\n"):
+        raise DataError("tfidf file does not end in a line feed")
+    lines = text[:-1].split("\n")  # not splitlines(): terms may hold "\x0b", "\x85", "\u2028", ...
     header = lines[0]
     if not header.startswith(FORMAT_VERSION + " "):
         raise DataError("not a tfidf v1 file")

@@ -277,6 +277,30 @@ class TestTrain:
         for name in ("tfidf.txt", "model.txt"):
             assert (workspace / "lf" / name).read_bytes() == (workspace / "other" / name).read_bytes()
 
+    def test_aux_csv_field_over_the_csv_limit_is_data_error(self, workspace, capsys):
+        (workspace / "aux.csv").write_text(f"text,label\n{'a' * 200_000},positive\n", encoding="utf-8")
+        code, out, err = run(["train", "--config", workspace / "cfg.ini", "--data.aux_csv", workspace / "aux.csv"], capsys)
+        assert (code, out, err) == (3, "", "data error: CSV line 2: field larger than field limit (131072)\n")
+        assert not (workspace / "out").exists()
+
+    def test_retrain_stopped_after_the_model_leaves_no_manifest(self, workspace, capsys, monkeypatch):
+        # The old manifest would describe the new artifacts: eval would load them under the old config.
+        assert run(["train", "--config", workspace / "cfg.ini", "--train.epochs", "2"], capsys)[0] == 0
+        save_model = cli.save_model
+
+        def save_then_stop(*args):
+            save_model(*args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "save_model", save_then_stop)
+        with pytest.raises(KeyboardInterrupt):
+            run(["train", "--config", workspace / "cfg.ini", "--train.epochs", "9", "--train.seed", "5"], capsys)
+        out_dir = workspace / "out"
+        assert sorted(path.name for path in out_dir.iterdir()) == ["model.txt", "tfidf.txt"]
+        for command in (["eval"], ["predict", "--out", workspace / "pred.tsv"]):
+            code, out, err = run([*command, "--model-dir", out_dir, "--data", workspace / "dev.txt"], capsys)
+            assert (code, out, err) == (2, "", f"config error: manifest does not exist: {out_dir / 'manifest.txt'}\n")
+
     def test_padded_settings_train_as_unpadded(self, workspace, capsys):
         (workspace / "aux.csv").write_text(AUX_CSV, encoding="utf-8")
         base = ["train", "--config", workspace / "cfg.ini", "--data.aux_csv", workspace / "aux.csv"]
@@ -440,6 +464,15 @@ class TestEvalCommand:
         assert run(args, capsys)[0] == 0
         assert "config.data.aux_label_column=\n" in (workspace / "out" / "manifest.txt").read_text(encoding="utf-8")
         assert run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)[0] == 0
+
+    @pytest.mark.parametrize("name, cut", [("model.txt", 2), ("model.txt", 1), ("tfidf.txt", 1)])
+    def test_artifact_without_its_final_line_feed_is_data_error(self, workspace, capsys, name, cut):
+        # Cutting the "\n" and the last digit of model.txt changes the positive class's bias.
+        assert run(["train", "--config", workspace / "cfg.ini", "--train.epochs", "2"], capsys)[0] == 0
+        path = workspace / "out" / name
+        path.write_bytes(path.read_bytes()[:-cut])
+        code, out, err = run(["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"], capsys)
+        assert (code, out, err) == (3, "", f"data error: {name[:-4]} file does not end in a line feed\n")
 
     def test_unlabeled_data_is_data_error(self, workspace, capsys):
         assert run(["train", "--config", workspace / "cfg.ini"], capsys)[0] == 0

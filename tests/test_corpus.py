@@ -305,6 +305,15 @@ class TestParseMonolingualCsv:
         text = CSV_TWO_ROWS.replace("\n", line_end)
         assert parse_monolingual_csv(text, "label", "text") == parse_monolingual_csv(CSV_TWO_ROWS, "label", "text")
 
+    @pytest.mark.parametrize(
+        "csv_text, line",
+        [(f"text,label\nok,neutral\n{'a' * 200_000},positive\n", 3), (f"{'a' * 200_000},label\nok,neutral\n", 1)],
+        ids=["data", "header"],
+    )
+    def test_field_over_the_csv_limit_is_data_error(self, csv_text, line):
+        with pytest.raises(DataError, match=rf"^CSV line {line}: field larger than field limit \(131072\)$"):
+            parse_monolingual_csv(csv_text, "label", "text")
+
     def test_empty_text_reports_row(self):
         with pytest.raises(DataError, match="row 0"):
             parse_monolingual_csv("text,label\n,neutral\n", "label", "text")

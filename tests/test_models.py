@@ -598,6 +598,7 @@ class TestPersistence:
             "model v1 mnb 2 1.0\n" + "0 0 0\n" * 3,  # alpha not as %.17g writes it
             "model v1 mnb 2 nan\n" + "0 0 0\n" * 3,  # non-finite alpha
             "model v1 mnb 2 0\n" + "0 0 0\n" * 3,  # zero alpha
+            "model v1 lr 2\n" + "0 0 0\n" * 2 + "0 0 0",  # no final line feed
         ],
     )
     def test_malformed_files_rejected(self, text):

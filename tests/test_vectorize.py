@@ -506,6 +506,7 @@ class TestPersistence:
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tx\\q\t0\t1\n",  # unknown escape
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tte\rm\t0\t1\n",  # unescaped carriage return in a term
             "tfidf v1 all_documents 1-1 2-5 3 3\nc\tab\t0\t1\nw\tterm\t0\t1\n",  # word line after the char block
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t1",  # no final line feed
         ],
     )
     def test_malformed_files_rejected(self, text):
