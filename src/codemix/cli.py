@@ -4,8 +4,8 @@ Configuration is a flat ``key = value`` file with one section per module
 (see _SCHEMA); every setting can also be passed as ``--section.key value``,
 which overrides the file.  Exit codes: 0 success, 2 config error, 3 data
 error, a non-UTF-8 input or an OSError (unreadable input, unwritable
-output.dir, a grid's doc mode process that died without reporting), 4 numeric
-failure.
+output.dir, a grid's doc mode process or an eval's or predict's model.txt
+parse process that died without reporting), 4 numeric failure.
 """
 
 import argparse
@@ -245,7 +245,7 @@ def _featurize(config: RunConfig, dataset: Dataset, texts: list[str]) -> tuple[T
 
 
 def _manifest_lines(config: RunConfig, tfidf: TfIdfModel, model: LinearModel, n_train: int) -> list[str]:
-    """The manifest of a run, line by line: the only definition of its layout, which _load_artifacts enforces."""
+    """The manifest of a run, line by line: the only definition of its layout, which _predict_dataset enforces."""
     return [
         "manifest v1",
         f"config_sha256={config.config_sha256}",
@@ -273,19 +273,8 @@ def _write_artifacts(
         handle.write("\n".join(_manifest_lines(config, tfidf, model, n_train)) + "\n")
 
 
-def _load_artifacts(model_dir: str) -> tuple[TfIdfModel, LinearModel, RunConfig]:
-    """The saved vectorizer, model and run config. The manifest must be exactly the _manifest_lines of its own
-    config.* settings, these artifacts and its run.n_train_tweets; DataError quotes the first line that differs."""
-    tfidf_path = os.path.join(model_dir, TFIDF_FILE)
-    model_path = os.path.join(model_dir, MODEL_FILE)
-    manifest_path = os.path.join(model_dir, MANIFEST_FILE)
-    _require_file(tfidf_path, "vectorizer artifact")
-    _require_file(model_path, "model artifact")
-    tfidf = load_tfidf(tfidf_path)
-    classifier = load_model(model_path)
-    if tfidf.dim != classifier.dim:
-        raise DataError(f"vectorizer dimension {tfidf.dim} does not match model dimension {classifier.dim}")
-    _require_file(manifest_path, "manifest")
+def _read_manifest(manifest_path: str) -> tuple[RunConfig, int, list[str]]:
+    """The run config of a manifest's config.* settings, its run.n_train_tweets and its lines."""
     with open(manifest_path, encoding="utf-8", newline="") as handle:
         lines = handle.read().removesuffix("\n").split("\n")
     values = dict(line.partition("=")[::2] for line in reversed(lines))  # each key's value on its first line
@@ -300,18 +289,47 @@ def _load_artifacts(model_dir: str) -> tuple[TfIdfModel, LinearModel, RunConfig]
     n_train = values.get("run.n_train_tweets", "")
     if not n_train.isdecimal():
         raise DataError(f"manifest run.n_train_tweets is {n_train!r}, not a tweet count: {manifest_path}")
-    expected = _manifest_lines(config, tfidf, classifier, int(n_train))
+    return config, int(n_train), lines
+
+
+def _predict_dataset(model_dir: str, dataset: Dataset) -> list:
+    """Score dataset with the artifacts in model_dir, parsing model.txt beside (_side_by_side) the rest.  The
+    first failure in this order is raised: a missing artifact file, the tfidf.txt parse, the model.txt parse,
+    the dimensions, the manifest's config and run.n_train_tweets, a manifest that is not exactly the
+    _manifest_lines of that config, these artifacts and that count (quoting the first line that differs),
+    then the lexicon, preprocessing and transform."""
+    tfidf_path, model_path, manifest_path = (
+        os.path.join(model_dir, name) for name in (TFIDF_FILE, MODEL_FILE, MANIFEST_FILE)
+    )
+    _require_file(tfidf_path, "vectorizer artifact")
+    _require_file(model_path, "model artifact")
+    _require_file(manifest_path, "manifest")
+
+    def featurize() -> tuple:
+        """The vectorizer, the manifest and the data's rows, a later failure standing in for what it stopped."""
+        tfidf, manifest = load_tfidf(tfidf_path), None
+        try:
+            manifest = _read_manifest(manifest_path)
+            config = manifest[0]
+            return tfidf, manifest, transform_batch(tfidf, _preprocess_texts(config, dataset, _load_lexicon(config)))
+        except Exception as exc:  # noqa: BLE001 - raised below, after the checks that come before it
+            return tfidf, manifest or exc, exc
+
+    (tfidf, manifest, features), classifier = _side_by_side(
+        featurize, functools.partial(load_model, model_path), "the process parsing model.txt"
+    )
+    if tfidf.dim != classifier.dim:
+        raise DataError(f"vectorizer dimension {tfidf.dim} does not match model dimension {classifier.dim}")
+    if isinstance(manifest, Exception):
+        raise manifest
+    config, n_train, lines = manifest
+    expected = _manifest_lines(config, tfidf, classifier, n_train)
     quoted = itertools.zip_longest(map(repr, lines), map(repr, expected), fillvalue="end of file")
     for number, (found, line) in enumerate(quoted, start=1):
         if found != line:
             raise DataError(f"manifest line {number} is {found}, expected {line}: {manifest_path}")
-    return tfidf, classifier, config
-
-
-def _predict_dataset(model_dir: str, dataset: Dataset) -> list:
-    tfidf, classifier, config = _load_artifacts(model_dir)
-    lexicon = _load_lexicon(config)
-    features = transform_batch(tfidf, _preprocess_texts(config, dataset, lexicon))
+    if isinstance(features, Exception):
+        raise features
     return predict_batch(classifier, features)
 
 
@@ -392,35 +410,36 @@ def _grid_mode(
     return reports
 
 
-def _run_doc_modes(run_mode: Callable[[DocMode], object]) -> list:
-    """run_mode(mode) for every DocMode, in DocMode order.  Where the platform can fork, the last mode runs in
-    a forked child, which inherits run_mode's inputs and sends back only its result or the exception it
-    raised, while this process runs the others; the child is joined before this returns or raises.  A failing
-    mode does not stop the others; once all have finished, the first failure in DocMode order is raised."""
+def _side_by_side(here: Callable[[], object], there: Callable[[], object], process: str) -> tuple[object, object]:
+    """here() and there(), or the first failure of the two, here()'s before there()'s.  Where the platform can
+    fork and this process may use two or more CPUs, there() runs in a forked child, which inherits its inputs
+    and sends back only its result or the exception it raised, while this process runs here(); the child is
+    joined before this returns or raises, and one that dies without reporting is a ChildProcessError naming
+    it as process.  Elsewhere here() and then there() run in this process.  A failing here() does not stop
+    there(), nor the reverse."""
 
-    def result(mode: DocMode) -> object:
+    def outcome(run: Callable[[], object]) -> object:
         try:
-            return run_mode(mode)
-        except Exception as exc:  # noqa: BLE001 - raised below once every mode has finished
+            return run()
+        except Exception as exc:  # noqa: BLE001 - raised below once both have finished
             return exc
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        results = [result(mode) for mode in DocMode]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        results = outcome(here), outcome(there)
     else:
-        *here, there = DocMode
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(target=lambda: sender.send(result(there)))
+        child = context.Process(target=lambda: sender.send(outcome(there)))
         child.start()
         sender.close()  # with only the child's copy open, recv() raises EOFError if the child dies without sending
         try:
-            results = [result(mode) for mode in here]
+            mine = outcome(here)
             try:
-                results.append(receiver.recv())
+                results = mine, receiver.recv()
             except EOFError:
                 child.join()
-                message = f"the {there.value} doc mode's process exited with code {child.exitcode} before it reported"
-                results.append(ChildProcessError(message))
+                results = mine, ChildProcessError(f"{process} exited with code {child.exitcode} before it reported")
         finally:
             receiver.close()
             child.join()
@@ -446,7 +465,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     labels, gold = require_labels(dataset), require_labels(dev)
     lexicon = _load_lexicon(config)
     texts, dev_texts = (_preprocess_texts(config, data, lexicon) for data in (dataset, dev))
-    by_mode = _run_doc_modes(functools.partial(_grid_mode, configs, dataset, labels, texts, gold, dev_texts))
+    run_mode = functools.partial(_grid_mode, configs, dataset, labels, texts, gold, dev_texts)
+    first, last = DocMode
+    by_mode = _side_by_side(
+        functools.partial(run_mode, first), functools.partial(run_mode, last), f"the {last.value} doc mode's process"
+    )
     reports = {(kind, mode): report for mode, cells in zip(DocMode, by_mode) for kind, report in cells.items()}
     rows = [GridRow(kind.value.upper(), mode.display_label, reports[kind, mode]) for kind, mode in _GRID_CELLS]
     print(comparison_grid(rows))

@@ -807,6 +807,156 @@ class TestGridCommand:
         assert sorted(os.listdir(workspace / "out" / "grid")) == [f"{kind.value}_per_class_concatenated" for kind in ModelKind]
 
 
+def on_both_paths(monkeypatch, capsys, args, out_dir, function, in_process):
+    """Per path, fork first: cli.main(args)'s exit code, stdout and stderr, every file under out_dir (made
+    empty before each call) by relative path, and the process each call of cli.function ran in, "parent"
+    or "child", sorted.  The fork path may use two CPUs; in_process(patch) sets up the other path.  No
+    child process is left after either call."""
+    log = out_dir.parent / f"{function}.log"
+    record_calls(monkeypatch, cli, function, log, lambda *args, **kwargs: os.getpid())
+    results = []
+    for forks in (True, False):
+        shutil.rmtree(out_dir, ignore_errors=True)
+        out_dir.mkdir()
+        log.unlink(missing_ok=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            if not forks:
+                in_process(patch)
+            outcome = run(args, capsys)
+        assert multiprocessing.active_children() == []
+        files = {path.relative_to(out_dir).as_posix(): path.read_bytes() for path in out_dir.rglob("*") if path.is_file()}
+        ran_in = sorted("parent" if int(pid) == os.getpid() else "child" for pid in recorded(log))
+        results.append((*outcome, files, ran_in))
+    return results
+
+
+def no_fork(patch):
+    patch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+
+def one_cpu(patch):
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+def cut_last_byte(path):
+    path.write_bytes(path.read_bytes()[:-1])
+
+
+def tamper_run_seed(manifest):
+    manifest.write_text(manifest.read_text(encoding="utf-8").replace("run.seed=0\n", "run.seed=7\n"), encoding="utf-8")
+
+
+# fault -> (what it does to a workspace trained with lexicon.tsv, exit code, start of stderr), in the order eval
+# and predict check for them: each fault's error wins over the ones below it.
+ARTIFACT_FAULTS = {
+    "tfidf": (lambda ws: cut_last_byte(ws / "out" / "tfidf.txt"), 3, "data error: tfidf file does not end in a line feed\n"),
+    "model": (lambda ws: cut_last_byte(ws / "out" / "model.txt"), 3, "data error: model file does not end in a line feed\n"),
+    "dimension": (
+        lambda ws: models.save_model(LinearModel(ModelKind.SVM, np.zeros((3, 5)), np.zeros(3)), str(ws / "out" / "model.txt")),
+        3,
+        "data error: vectorizer dimension 1999 does not match model dimension 5\n",
+    ),
+    "manifest": (lambda ws: tamper_run_seed(ws / "out" / "manifest.txt"), 3, "data error: manifest line 8 is 'run.seed=7'"),
+    "lexicon": (lambda ws: (ws / "lexicon.tsv").unlink(), 2, "config error: data.lexicon does not exist: "),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+class TestModelParsedInAChild:
+    @pytest.fixture()
+    def trained(self, workspace, capsys):
+        shutil.copyfile(Path(cli.__file__).parent / "data" / "emoticons.tsv", workspace / "lexicon.tsv")
+        args = ["train", "--config", workspace / "cfg.ini", "--train.epochs", "2", "--data.lexicon", workspace / "lexicon.tsv"]
+        assert run(args, capsys)[0] == 0
+        return workspace
+
+    @staticmethod
+    def args(workspace, command):
+        args = [command, "--model-dir", workspace / "out", "--data", workspace / "dev.txt"]
+        return [*args, "--out", workspace / "run" / "predictions.tsv"] if command == "predict" else args
+
+    def test_a_dir_without_its_manifest_is_refused_before_any_parse(self, trained, capsys, monkeypatch, command):
+        def parsed(path):
+            raise AssertionError(f"{path} was parsed")
+
+        (trained / "out" / "manifest.txt").unlink()
+        (trained / "run").mkdir()
+        monkeypatch.setattr(cli, "load_tfidf", parsed)
+        monkeypatch.setattr(cli, "load_model", parsed)
+        code, out, err = run(self.args(trained, command), capsys)
+        assert (code, out, err) == (2, "", f"config error: manifest does not exist: {trained / 'out' / 'manifest.txt'}\n")
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+    @pytest.mark.parametrize(
+        "faults",
+        [(), *((fault,) for fault in ARTIFACT_FAULTS), ("tfidf", "model"), ("model", "manifest"), ("manifest", "lexicon")],
+        ids=lambda faults: "+".join(faults) or "none",
+    )
+    def test_the_fork_and_in_process_paths_agree(self, trained, capsys, monkeypatch, command, faults):
+        for fault in faults:
+            ARTIFACT_FAULTS[fault][0](trained)
+        args = self.args(trained, command)
+        forked, in_process = on_both_paths(monkeypatch, capsys, args, trained / "run", "load_model", no_fork)
+        # The model is parsed even when the vectorizer fails, and the child is joined, not killed.
+        assert (forked[-1], in_process[-1]) == (["child"], ["parent"])
+        assert forked[:-1] == in_process[:-1]
+        code, out, err, files, _ = forked
+        if faults:
+            _, expected_code, message = ARTIFACT_FAULTS[faults[0]]
+            assert (code, out, files) == (expected_code, "", {})
+            assert err.startswith(message) and err.count("\n") == 1, err
+        elif command == "eval":
+            assert (code, err, files) == (0, "", {}) and "metric.macro_f1=" in out
+        else:
+            assert (code, err, list(files)) == (0, "", ["predictions.tsv"])
+            assert files["predictions.tsv"].count(b"\n") == 30
+
+    @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+    def test_one_cpu_parses_the_model_in_this_process_with_the_same_bytes(self, trained, capsys, monkeypatch, command):
+        forked, single = on_both_paths(monkeypatch, capsys, self.args(trained, command), trained / "run", "load_model", one_cpu)
+        assert (forked[-1], single[-1]) == (["child"], ["parent"])
+        assert forked[:-1] == single[:-1] and forked[0] == 0
+
+    @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+    def test_a_child_that_dies_exits_3_naming_the_model_parse(self, trained, capsys, monkeypatch, command):
+        parent = os.getpid()
+
+        def dying(path):
+            if os.getpid() != parent:
+                os._exit(9)
+            return original(path)
+
+        def timed_out(signum, frame):
+            raise TimeoutError(f"{command} still waits for a child that died")
+
+        original = cli.load_model
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, "load_model", dying)
+        (trained / "run").mkdir()
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(60)
+        try:
+            code, out, err = run(self.args(trained, command), capsys)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        message = "the process parsing model.txt exited with code 9 before it reported"
+        assert (code, out, err) == (3, "", f"i/o error: {message}\n")
+        assert multiprocessing.active_children() == [] and list((trained / "run").iterdir()) == []
+
+
+@pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+def test_a_grid_on_one_cpu_runs_both_doc_modes_in_its_own_process_with_the_same_bytes(workspace, capsys, monkeypatch):
+    args = ["grid", "--config", workspace / "cfg.ini", "--train.epochs", "2", "--output.dir", workspace / "run"]
+    forked, single = on_both_paths(monkeypatch, capsys, args, workspace / "run", "_grid_mode", one_cpu)
+    assert (forked[-1], single[-1]) == (["child", "parent"], ["parent", "parent"])
+    assert forked[:-1] == single[:-1]
+    code, out, err, files, _ = forked
+    assert (code, err, len(files)) == (0, "", 3 * 6) and out.count("grid.") == 7
+
+
 ADVERSARIAL_INPUTS = [
     "meta\n",
     "garbage first line\n",
