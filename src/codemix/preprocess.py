@@ -221,10 +221,9 @@ def run_pipeline(text: str, config: PipelineConfig, lexicon: EmojiLexicon | None
     A single ordered pass can expose material for rules that already ran
     (stripping a non-ASCII character may uncover a mention, removing a
     mention may join the halves of an emoticon), so the pass repeats until
-    a fixed point: the pipeline is a projection.  Each pass only consumes
-    finite, never-recreated material (non-ASCII codepoints, lexicon
-    matches, '@'/'#'/URL tokens, letter runs), so the bound below is never
-    reached in practice.
+    a fixed point or the bound below.  With a lexicon whose names re-create
+    its own keys (a space or a self-mapping key), the text can grow pass
+    after pass until the bound stops it.
     """
     lexicon = default_lexicon() if lexicon is None else lexicon
     previous = None

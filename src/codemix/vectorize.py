@@ -144,6 +144,22 @@ def _int_type(bound: int) -> type:
     return np.int32 if bound <= 2**31 else np.int64
 
 
+_SLOTS_PER_KEY = 4  # 4 slots of 9 traced bytes (bools, cumsum's int32 copy, sums) <= np.unique's 36-48 per key
+
+
+def _dense_rank(keys: np.ndarray, space: int) -> tuple[np.ndarray, int]:
+    """Each key's rank among the distinct keys (in [0, space)) and their number, by a presence table or np.unique."""
+    if 0 < space <= _SLOTS_PER_KEY * keys.size:
+        table = np.zeros(space, bool)
+        table[keys] = True
+        table = np.cumsum(table, dtype=_int_type(space))
+        ranks = table.take(keys)
+        ranks -= 1  # in place: one more temporary here put a 12k train in a 30 MB higher peak RSS mode
+        return ranks, int(table[-1])
+    distinct, ranks = np.unique(keys, return_inverse=True)
+    return ranks, len(distinct)
+
+
 def _symbols(texts: list[str], kind: AnalyzerKind) -> tuple[str | list[str], list[int], np.ndarray, int]:
     """The units of the lowercased texts back to back (code points of one string, or word tokens), the
     number of units in each text, each unit's rank in str order among the distinct units, and their number.
@@ -162,8 +178,8 @@ def _symbols(texts: list[str], kind: AnalyzerKind) -> tuple[str | list[str], lis
     units = "".join(lowered)
     # UTF-32 gives one unit per code point, valued as the code point (str order); surrogatepass keeps lone surrogates.
     codes = np.frombuffer(units.encode("utf-32-le", "surrogatepass"), np.uint32)
-    alphabet = np.flatnonzero(np.bincount(codes))  # the code points that occur, in increasing order
-    return units, sizes, np.searchsorted(alphabet, codes).astype(np.int32), len(alphabet)
+    ranks, n_symbols = _dense_rank(codes, int(codes.max(initial=0)) + 1)
+    return units, sizes, ranks.astype(np.int32, copy=False), n_symbols
 
 
 def _count_levels(
@@ -172,12 +188,11 @@ def _count_levels(
     """The vocabulary of texts (vocab itself if given) and their term counts as one canonical CSR part
     (int32 counts, int32 columns + offset, indptr) per n-gram length.
 
-    The n-gram at position p gets the dense rank, by np.unique, of (rank of the (n-1)-gram at p, rank
-    of unit p+n-1) over the positions where it fits inside its text: the rank-pair step of suffix-array
-    prefix doubling (Manber & Myers 1993), extended one unit at a time.  Ranks follow str order within
-    a length, and only one occurrence of each distinct n-gram is decoded to a string.  Then a fit sorts
-    these strings and numbers terms in lexicographic order, a transform looks them up, and one loop maps
-    each level's ranks to columns, dropping unknown ones.
+    The n-gram at position p gets the dense rank of (rank of the (n-1)-gram at p, rank of unit p+n-1) where it fits
+    in its text: the rank-pair step of suffix-array prefix doubling (Manber & Myers 1993), one unit at a time, with
+    their bucket step as a presence table (np.unique above 4 slots per key).  Ranks follow str order within a length,
+    and one occurrence of each distinct n-gram is decoded.  A fit sorts these strings to number terms in str order, a
+    transform looks them up, and one loop maps each level's ranks to columns, dropping unknown ones.
     """
     units, sizes, symbols, n_symbols = _symbols(texts, analyzer.kind)
     n_texts, n_units = len(texts), len(symbols)
@@ -196,9 +211,8 @@ def _count_levels(
             key = rank[fits].astype(_int_type(width * n_symbols))
             key *= n_symbols
             key += symbols[n - 1 :][fits]
-            distinct, rank[fits] = np.unique(key, return_inverse=True)  # sorted: ranks follow key order
-            width = len(distinct)
-            del key, distinct
+            rank[fits], width = _dense_rank(key, width * n_symbols)  # ranks follow key order
+            del key
         if n < analyzer.ngram_min:
             continue
         level = rank[fits]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import oracles
-from synth import make_tweet
+from synth import make_tweet, synthetic_dataset
 from codemix.corpus import Dataset, Sentiment
 from codemix.errors import ConfigError, DataError
 from codemix.vectorize import (
@@ -24,6 +24,7 @@ from codemix.vectorize import (
     DocMode,
     Vocabulary,
     _count_levels,
+    _dense_rank,
     _join,
     _tfidf,
     fit_tfidf,
@@ -135,9 +136,9 @@ class TestFitVocabulary:
     def test_counting_streams_the_grams_of_a_long_document(self):
         # Holding a text's n-grams in a list peaks at about 90 traced bytes per occurrence (a
         # pointer and a string each); streaming them peaked at 20 to 28, mostly the ids.  The array
-        # counter peaked at 14.0 (fit) and 13.7 (transform) with a hand-rolled rank step, and at 18.3
-        # for both with np.unique, whose argsort and inverse are intp: its int32 ranks and one level's
-        # temporaries.
+        # counter peaked at 14.0 (fit) and 13.7 (transform) with a hand-rolled rank step, at 18.3
+        # for both with np.unique, whose argsort and inverse are intp, and at 14.8 for both with a
+        # presence table: its int32 ranks and one level's temporaries.
         rng = random.Random(7)
         words = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(2, 9))) for _ in range(100)]
         doc = " ".join(rng.choices(words, k=10_000))
@@ -152,7 +153,7 @@ class TestFitVocabulary:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert max(peaks) < 48 * occurrences, (peaks, occurrences)
+        assert max(peaks) < 40 * occurrences, (peaks, occurrences)
 
     def test_documents_without_terms_give_an_empty_vocabulary(self):
         model, matrix = fit_transform(["", " "], DocMode.ALL_DOCUMENTS, WORD, Analyzer(AnalyzerKind.CHAR, 3, 3))
@@ -166,6 +167,22 @@ class TestFitVocabulary:
 _COUNT_PIECES = [" ", "\x00", "\t", "İ", "Σ", "σ", "ς", "\U0001F600", "\ud800", "a", "b", "ab", "_", "7"]
 _COUNT_TEXT = st.lists(st.sampled_from(_COUNT_PIECES), max_size=9).map("".join)
 _ALL_RANGES = [(low, high) for low in range(1, 9) for high in range(low, 9)]
+
+
+@pytest.fixture
+def inverse_ranks(monkeypatch):
+    """The number of keys of each np.unique call that returns an inverse (vectorize.np is numpy), as the
+    rank fallback of _dense_rank does: no call means a presence table ranked every level."""
+    sizes = []
+    unique = np.unique
+
+    def spy(keys, *args, **kwargs):
+        if kwargs.get("return_inverse"):
+            sizes.append(np.size(keys))
+        return unique(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    return sizes
 
 
 def assert_counts_equal(counted, frozen):
@@ -199,7 +216,7 @@ class TestCountTermsMatchesFrozenCounter:
                 assert counted[0] is fitted
                 assert_counts_equal(counted, oracles.frozen_count_terms(texts, analyzer, fitted))
 
-    def test_keys_wider_than_int32(self):
+    def test_keys_wider_than_int32(self, inverse_ranks):
         # 200k code points drawn from 100k give about 86k symbols and 200k distinct bigrams, so the
         # trigram key (bigram rank * symbols + symbol) reaches about 4 * 2**32: built in int32, it
         # would wrap and merge distinct trigrams.
@@ -207,7 +224,11 @@ class TestCountTermsMatchesFrozenCounter:
         alphabet = [chr(code) for code in range(0x4E00, 0x4E00 + 100_000)]
         texts, others = (["".join(rng.choices(alphabet, k=size))] for size in (200_000, 50_000))
         analyzer = Analyzer(AnalyzerKind.CHAR, 3, 3)
-        assert_counts_equal(count(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
+        counted = count(texts, analyzer)
+        # The code points fit a table (about 120k slots for 200k keys); the bigram and trigram key
+        # spaces (about 86k * 86k and 200k * 86k) do not, so np.unique ranks both levels.
+        assert inverse_ranks == [199_999, 199_998]
+        assert_counts_equal(counted, oracles.frozen_count_terms(texts, analyzer))
         vocab = count(others, analyzer)[0]
         assert_counts_equal(count(texts, analyzer, vocab), oracles.frozen_count_terms(texts, analyzer, vocab))
         # 30k texts and about 90k distinct unigrams: the (text, unigram) pair key passes 2**31 too.
@@ -222,6 +243,66 @@ class TestCountTermsMatchesFrozenCounter:
                 analyzer = Analyzer(kind, *ngram_range)
                 texts = [text, "", "a", text[::-1]]
                 assert_counts_equal(count(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
+
+    def test_ascii_tweets_rank_every_char_level_with_a_table(self, inverse_ranks):
+        texts = [tweet.text for tweet in synthetic_dataset("train", 600, seed=5)]
+        vocab, counts = count(texts, DEFAULT_CHAR_ANALYZER)
+        transformed = count(texts[::-2], DEFAULT_CHAR_ANALYZER, vocab)
+        assert inverse_ranks == []  # no sort ranked the code points or the char 2-5 levels
+        assert_counts_equal((vocab, counts), oracles.frozen_count_terms(texts, DEFAULT_CHAR_ANALYZER))
+        assert_counts_equal(transformed, oracles.frozen_count_terms(texts[::-2], DEFAULT_CHAR_ANALYZER, vocab))
+
+    @pytest.mark.parametrize(
+        "texts, inverses",
+        [
+            # 4 distinct code points below 4 and 4 bigrams: 4 * 4 = 16 = 4 * 4 slots, the largest table.
+            (["\x00\x01\x02\x03\x00"], []),
+            # 3 distinct code points below 3 and 2 bigrams: 3 * 3 = 9 = 4 * 2 + 1 slots go to np.unique.
+            (["\x00\x01\x02"], [2]),
+        ],
+    )
+    def test_four_slots_per_key_is_the_last_table(self, inverse_ranks, texts, inverses):
+        analyzer = Analyzer(AnalyzerKind.CHAR, 1, 2)
+        counted = count(texts, analyzer)
+        assert inverse_ranks == inverses
+        assert_counts_equal(counted, oracles.frozen_count_terms(texts, analyzer))
+
+    @pytest.mark.parametrize("kind", AnalyzerKind)
+    @pytest.mark.parametrize("texts", [["ab", "", "c d", "x"], ["", ""], []])
+    def test_texts_shorter_than_n(self, inverse_ranks, kind, texts):
+        # No text holds a 4-gram, so levels 4 and 5 have no key and no table slot to read.
+        analyzer = Analyzer(kind, 4, 5)
+        counted = count(texts, analyzer)
+        assert inverse_ranks[-2:] == [0, 0]
+        assert_counts_equal(counted, oracles.frozen_count_terms(texts, analyzer))
+
+    def test_a_lone_astral_code_point(self, inverse_ranks):
+        # One key whose table would need 0x1F601 slots: np.unique ranks it.
+        texts = ["\U0001F600"]
+        analyzer = Analyzer(AnalyzerKind.CHAR, 1, 2)
+        counted = count(texts, analyzer)
+        assert inverse_ranks == [1, 0]
+        assert_counts_equal(counted, oracles.frozen_count_terms(texts, analyzer))
+
+
+class TestDenseRank:
+    """_dense_rank on its own: the same integers as np.unique's inverse, from a table or from np.unique itself."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint32, np.int64])
+    @pytest.mark.parametrize("space, size", [(1, 1), (40, 1000), (400, 100), (401, 100), (100_000, 1000), (2**31, 50)])
+    def test_matches_the_inverse_of_np_unique(self, inverse_ranks, dtype, space, size):
+        keys = np.random.default_rng(space + size).integers(0, space, size).astype(dtype)
+        ranks, n_distinct = _dense_rank(keys, space)
+        assert inverse_ranks == ([] if space <= 4 * size else [size])  # a table up to 4 slots per key
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        assert np.array_equal(ranks, inverse)
+        assert n_distinct == len(distinct)
+
+    @pytest.mark.parametrize("space", [0, 1, 9])
+    def test_no_keys(self, space):
+        ranks, n_distinct = _dense_rank(np.empty(0, np.int64), space)
+        assert ranks.size == 0
+        assert n_distinct == 0
 
 
 class TestPrepareDocuments:
