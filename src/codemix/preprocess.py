@@ -45,6 +45,9 @@ class EmojiLexicon:
         alternatives = "|".join(map(re.escape, keys)) or "(?!)"  # an empty lexicon matches nothing
         self._pattern = re.compile(rf"(?=[{starts}\x80-\U0010FFFF])(?:{alternatives})")
         self._ascii_pattern = re.compile("|".join(re.escape(key) for key in keys if key.isascii()) or "(?!)")
+        for key, name in self._entries.items():  # else replacing a key writes a key, pass after pass
+            if hit := self._pattern.search(f" {name} "):
+                raise ConfigError(f"emoji lexicon entry {key!r} writes {f' {name} '!r}, which holds the key {hit[0]!r}")
 
     def name_of(self, key: str) -> str:
         return self._entries[key]
@@ -221,9 +224,7 @@ def run_pipeline(text: str, config: PipelineConfig, lexicon: EmojiLexicon | None
     A single ordered pass can expose material for rules that already ran
     (stripping a non-ASCII character may uncover a mention, removing a
     mention may join the halves of an emoticon), so the pass repeats until
-    a fixed point or the bound below.  With a lexicon whose names re-create
-    its own keys (a space or a self-mapping key), the text can grow pass
-    after pass until the bound stops it.
+    a fixed point or the bound below.
     """
     lexicon = default_lexicon() if lexicon is None else lexicon
     previous = None

@@ -9,12 +9,13 @@ ln((1 + N) / (1 + df)) + 1.
 """
 
 import math
+import operator
 import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain, pairwise, repeat
+from itertools import chain, islice, pairwise, repeat
 
 import numpy as np
 from scipy import sparse
@@ -76,7 +77,7 @@ DEFAULT_CHAR_ANALYZER = Analyzer(AnalyzerKind.CHAR, 2, 5)
 class Vocabulary:
     """Terms and document frequencies by feature index: feature i is terms[i],
     seen in document_frequency[i] of the n_documents fitted documents.  A fit
-    numbers terms in lexicographic order; a parsed file keeps its indices."""
+    numbers terms in lexicographic order."""
 
     terms: tuple[str, ...]
     document_frequency: tuple[int, ...]
@@ -261,7 +262,6 @@ def _join(parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]], shape: tuple[i
     counts = sparse.csr_matrix(shape, dtype=np.int32)
     while parts:
         counts = counts + sparse.csr_matrix(parts.pop(), shape=shape)
-    counts.sort_indices()  # a no-op check, unless a parsed vocabulary numbers terms out of str order
     return counts
 
 
@@ -354,10 +354,11 @@ def format_tfidf(model: TfIdfModel) -> str:
 
 
 def parse_tfidf(text: str) -> TfIdfModel:
-    """The model format_tfidf wrote as text, read in one pass.  Only that layout loads: "\n"
-    line ends (the last one too), the header format_tfidf writes for the parsed model,
-    then the word block's term lines and the char block's, each in index order, with decimal
-    indices and dfs as str() writes them.  Nothing is repaired: anything else is a DataError."""
+    """The model format_tfidf wrote as text.  Only that layout loads: "\n" line ends (the last
+    one too), the header format_tfidf writes for the parsed model, with equal word and char document
+    counts, then the word block's term lines and the char block's, each in index order with its terms
+    strictly ascending in str order, as a fit numbers them, and with decimal indices and dfs as str()
+    writes them.  Nothing is repaired: anything else is a DataError."""
     if not text.endswith("\n"):
         raise DataError("tfidf file does not end in a line feed")
     lines = text[:-1].split("\n")  # not splitlines(): terms may hold "\x0b", "\x85", "\u2028", ...
@@ -369,13 +370,13 @@ def parse_tfidf(text: str) -> TfIdfModel:
         mode = DocMode.from_value(mode_value)
         word_analyzer = Analyzer(AnalyzerKind.WORD, *map(int, word_range.split("-", 1)))
         char_analyzer = Analyzer(AnalyzerKind.CHAR, *map(int, char_range.split("-", 1)))
-        n_docs = {"w": int(n_word), "c": int(n_char)}
+        n_docs = int(n_word)
     except ValueError:
         raise DataError(f"malformed tfidf header {header!r}") from None
     except ConfigError as exc:  # an unknown doc mode or an n-gram range out of bounds
         raise DataError(str(exc)) from None
-    if any(n < 1 for n in n_docs.values()):
-        raise DataError("tfidf document counts must be >= 1")
+    if n_char != n_word or n_docs < 1:  # a fit counts one or more documents, the same ones for both blocks
+        raise DataError(f"malformed tfidf header {header!r}")
 
     columns: dict[str, tuple[list[str], list[int]]] = {"w": ([], []), "c": ([], [])}  # terms, dfs
     char_terms = columns["c"][0]
@@ -390,20 +391,18 @@ def parse_tfidf(text: str) -> TfIdfModel:
             raise DataError(f"tfidf term line {line_no} is a word term after the char block")
         if index != str(len(terms)):
             raise DataError(f"tfidf term line {line_no} is not at index {len(terms)} of its block")
-        if str(df) != df_text or not 1 <= df <= n_docs[block]:
-            raise DataError(f"tfidf term line {line_no} has df {df_text!r}, not a count in [1, {n_docs[block]}]")
+        if str(df) != df_text or not 1 <= df <= n_docs:
+            raise DataError(f"tfidf term line {line_no} has df {df_text!r}, not a count in [1, {n_docs}]")
         terms.append(_unescape_term(escaped))
         dfs.append(df)
-    del lines  # free the term lines (~30 MB at 393k terms) before the term indices are built
 
-    def build(block: str) -> Vocabulary:
-        terms, dfs = columns[block]
-        vocab = Vocabulary(tuple(terms), tuple(dfs), n_docs[block])
-        if len(vocab.term_index) != len(vocab):  # transform builds term_index anyway
-            raise DataError(f"tfidf {block} block repeats a term")
-        return vocab
-
-    model = TfIdfModel(build("w"), build("c"), word_analyzer, char_analyzer, mode)
+    # The order is checked per block after the loop: map(operator.lt) costs less than a comparison per line.
+    for (terms, _), first in zip(columns.values(), (2, 2 + len(columns["w"][0]))):
+        if not all(map(operator.lt, terms, islice(terms, 1, None))):
+            at = next(i for i, pair in enumerate(pairwise(terms), start=1) if pair[0] >= pair[1])
+            raise DataError(f"tfidf term line {first + at} does not follow the term before it in str order")
+    word, char = (Vocabulary(tuple(terms), tuple(dfs), n_docs) for terms, dfs in columns.values())
+    model = TfIdfModel(word, char, word_analyzer, char_analyzer, mode)
     if _tfidf_header(model) != header:
         raise DataError(f"malformed tfidf header {header!r}")
     return model

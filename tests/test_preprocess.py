@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -251,12 +252,20 @@ mixed_texts = st.lists(
     ),
     max_size=30,
 ).map("".join)
+
+
+def loadable(entries):
+    """entries less each one whose key occurs in a name as spell writes it, between spaces: a lexicon that loads."""
+    spelled = [f" {name} " for name in entries.values()]
+    return {key: name for key, name in entries.items() if not any(key in text for text in spelled)}
+
+
 lexicons = st.dictionaries(
     keys=st.text(alphabet=st.sampled_from(TRICKY + list(":-(<3,o❤😀é ")), min_size=1, max_size=4),
     values=st.text(alphabet=st.sampled_from(list("abz _")), min_size=1, max_size=6),
     min_size=0,
     max_size=12,
-)
+).map(loadable)
 
 
 class TestMatchesFrozenRules:
@@ -385,6 +394,23 @@ class TestEmojiLexicon:
             EmojiLexicon({"": "name"})
         with pytest.raises(ConfigError):
             EmojiLexicon({"<3": ""})
+
+    @pytest.mark.parametrize(
+        "entries, refused",
+        [
+            # Replacing a key wrote a key: "İİİİİİİİİİİİ²" grew pass after pass, to 372,620 characters.
+            ({"_": "_", " ": "___", "²": "_"}, "entry '_' writes ' _ ', which holds the key ' '"),
+            ({"x": "a b", "a b": "c"}, "entry 'x' writes ' a b ', which holds the key 'a b'"),
+            ({":)": "smile", " ": "space"}, "entry ':)' writes ' smile ', which holds the key ' '"),
+        ],
+    )
+    def test_a_name_that_holds_a_key_is_refused(self, entries, refused):
+        with pytest.raises(ConfigError, match=re.escape(refused)):
+            EmojiLexicon(entries)
+
+    def test_a_self_mapping_file_entry_is_refused(self):
+        with pytest.raises(ConfigError, match=re.escape("entry '_' writes ' _ ', which holds the key '_'")):
+            EmojiLexicon.from_lines(["_\t_"])
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "lex.tsv"

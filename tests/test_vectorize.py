@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -204,17 +204,11 @@ class TestCountTermsMatchesFrozenCounter:
         for kind in AnalyzerKind:
             analyzer = Analyzer(kind, *ngram_range)
             assert_counts_equal(count(texts, analyzer), oracles.frozen_count_terms(texts, analyzer))
-            # A vocabulary fitted on other texts, so grams out of it are dropped; and the same
-            # terms numbered out of str order (by their reversal), as a parsed file may number them.
+            # A vocabulary fitted on other texts, so grams out of it are dropped.
             vocab = oracles.frozen_count_terms(others, analyzer)[0]
-            order = sorted(range(len(vocab)), key=lambda i: vocab.terms[i][::-1])
-            reordered = Vocabulary(
-                tuple(vocab.terms[i] for i in order), tuple(vocab.document_frequency[i] for i in order), vocab.n_documents
-            )
-            for fitted in (vocab, reordered):
-                counted = count(texts, analyzer, fitted)
-                assert counted[0] is fitted
-                assert_counts_equal(counted, oracles.frozen_count_terms(texts, analyzer, fitted))
+            counted = count(texts, analyzer, vocab)
+            assert counted[0] is vocab
+            assert_counts_equal(counted, oracles.frozen_count_terms(texts, analyzer, vocab))
 
     def test_keys_wider_than_int32(self, inverse_ranks):
         # 200k code points drawn from 100k give about 86k symbols and 200k distinct bigrams, so the
@@ -588,11 +582,52 @@ class TestPersistence:
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tte\rm\t0\t1\n",  # unescaped carriage return in a term
             "tfidf v1 all_documents 1-1 2-5 3 3\nc\tab\t0\t1\nw\tterm\t0\t1\n",  # word line after the char block
             "tfidf v1 all_documents 1-1 2-5 3 3\nw\tterm\t0\t1",  # no final line feed
+            "tfidf v1 all_documents 1-1 2-5 3 4\nw\tterm\t0\t1\n",  # unequal word and char document counts
+            "tfidf v1 all_documents 1-1 2-5 3 3\nw\tb\t0\t1\nw\ta\t1\t1\n",  # terms out of str order
         ],
     )
     def test_malformed_files_rejected(self, text):
         with pytest.raises(DataError):
             parse_tfidf(text)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(_TRAIN_TEXT, min_size=1, max_size=8),
+        word_range=_RANGE,
+        char_range=_RANGE,
+        per_class=st.booleans(),
+        block=st.sampled_from(["w", "c"]),
+        data=st.data(),
+    )
+    def test_only_a_fits_term_order_and_document_count_load(self, texts, word_range, char_range, per_class, block, data):
+        word = Analyzer(AnalyzerKind.WORD, *word_range)
+        char = Analyzer(AnalyzerKind.CHAR, *char_range)
+        if per_class:
+            model = fit_tfidf([" ".join(texts[c::3]) for c in range(3)], DocMode.PER_CLASS_CONCATENATED, word, char)
+        else:
+            model = fit_tfidf(texts, DocMode.ALL_DOCUMENTS, word, char)
+        text = format_tfidf(model)
+        assert parse_tfidf(text) == model
+        header, *lines = text[:-1].split("\n")
+        # Exchange two term lines of one block, terms and dfs, keeping their index fields.  Term k of the block
+        # is on line first + k + 2 (the header is line 1), and the term after the first of the two is the first
+        # one that does not follow its predecessor.
+        first, size = (0, len(model.word_vocab)) if block == "w" else (len(model.word_vocab), len(model.char_vocab))
+        assume(size >= 2)
+        i, j = sorted(data.draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True)))
+        a, b = (lines[first + k].split("\t") for k in (i, j))
+        lines[first + i], lines[first + j] = "\t".join([*b[:2], a[2], b[3]]), "\t".join([*a[:2], b[2], a[3]])
+        exchanged = "\n".join([header, *lines]) + "\n"
+        with pytest.raises(DataError, match=f"^tfidf term line {first + i + 3} does not follow the term before it"):
+            parse_tfidf(exchanged)
+        # Unequal document counts: refused as a header error, before any term line is read.
+        n = model.word_vocab.n_documents
+        other = data.draw(st.integers(1, 50 * n).filter(lambda k: k != n))
+        counts = data.draw(st.sampled_from([f"{n} {other}", f"{other} {n}"]))
+        unequal = header.rsplit(" ", 2)[0] + f" {counts}"
+        for body in (text, exchanged):
+            with pytest.raises(DataError, match="^malformed tfidf header"):
+                parse_tfidf(body.replace(header, unequal, 1))
 
     def test_serialization_deterministic(self):
         a = format_tfidf(fit_tfidf(TOY_DOCS, DocMode.ALL_DOCUMENTS))
