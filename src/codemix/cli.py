@@ -127,8 +127,7 @@ Settings = dict[tuple[str, str], str]
 def _collect_settings(args: argparse.Namespace) -> Settings:
     """Merge the config file and the --section.key overrides, which win."""
     settings: Settings = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
+    if config_path := args.config:
         if not os.path.isfile(config_path):
             raise ConfigError(f"config file not found: {config_path}")
         # No section is configparser's default section (a header is never empty), so [DEFAULT] is refused
@@ -205,17 +204,18 @@ def _load_lexicon(config: RunConfig) -> EmojiLexicon:
     return default_lexicon()
 
 
-def _load_block_dataset(path: str, name: str) -> Dataset:
+def _load_block_dataset(path: str, what: str, name: str | None = None) -> Dataset:
+    """The block-format dataset in path, named name or else after the file; a missing file is refused naming what."""
+    _require_file(path, what)
     with open(path, encoding="utf-8", newline="") as handle:
-        return parse_conll(handle.read(), name=name)
+        return parse_conll(handle.read(), name=name or Path(path).stem)
 
 
 def _load_training_data(config: RunConfig) -> Dataset:
     train_path, aux_path = config.values["data.train"], config.values["data.aux_csv"]
     if not train_path:
         raise ConfigError("data.train is required")
-    _require_file(train_path, "data.train")
-    dataset = _load_block_dataset(train_path, "train")
+    dataset = _load_block_dataset(train_path, "data.train", "train")
     if aux_path:
         _require_file(aux_path, "data.aux_csv")
         with open(aux_path, encoding="utf-8", newline="") as handle:
@@ -276,7 +276,9 @@ def _write_artifacts(
 def _read_manifest(manifest_path: str) -> tuple[RunConfig, int, list[str]]:
     """The run config of a manifest's config.* settings, its run.n_train_tweets and its lines."""
     with open(manifest_path, encoding="utf-8", newline="") as handle:
-        lines = handle.read().removesuffix("\n").split("\n")
+        lines = handle.read().split("\n")
+    if lines.pop():  # the text after the last line feed
+        raise DataError(f"manifest does not end in a line feed: {manifest_path}")
     values = dict(line.partition("=")[::2] for line in reversed(lines))  # each key's value on its first line
     settings: Settings = {}
     for section, keys in _SCHEMA.items():
@@ -345,8 +347,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    _require_file(args.data, "evaluation data")
-    dataset = _load_block_dataset(args.data, Path(args.data).stem)
+    dataset = _load_block_dataset(args.data, "evaluation data")
     report = score(require_labels(dataset), _predict_dataset(args.model_dir, dataset))
     print(render_report(report))
     print()
@@ -356,8 +357,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    _require_file(args.data, "input data")
-    dataset = _load_block_dataset(args.data, Path(args.data).stem)
+    dataset = _load_block_dataset(args.data, "input data")
     predictions = _predict_dataset(args.model_dir, dataset)
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
         for tweet, prediction in zip(dataset, predictions):
@@ -368,8 +368,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     config = _build_run_config(_collect_settings(args))
-    _require_file(args.data, "input data")
-    dataset = _load_block_dataset(args.data, Path(args.data).stem)
+    dataset = _load_block_dataset(args.data, "input data")
     lexicon = _load_lexicon(config)
     for text in _preprocess_texts(config, dataset, lexicon):
         print(text)
@@ -459,9 +458,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     dev_path = config.values["data.dev"]
     if not dev_path:
         raise ConfigError("data.dev is required for grid")
-    _require_file(dev_path, "data.dev")
+    _require_file(dev_path, "data.dev")  # a missing dev file is reported ahead of anything in the train load
     dataset = _load_training_data(config)
-    dev = _load_block_dataset(dev_path, Path(dev_path).stem)
+    dev = _load_block_dataset(dev_path, "data.dev")
     labels, gold = require_labels(dataset), require_labels(dev)
     lexicon = _load_lexicon(config)
     texts, dev_texts = (_preprocess_texts(config, data, lexicon) for data in (dataset, dev))
@@ -481,6 +480,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _add_setting_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", help="config file (flat key = value with [section]s)")
     group = parser.add_argument_group("config overrides")
     for section, keys in _SCHEMA.items():
         for key, (_default, _parse, help_text) in keys.items():
@@ -497,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="fit the vectorizer and a classifier, persist artifacts")
-    train.add_argument("--config", help="config file (flat key = value with [section]s)")
     _add_setting_args(train)
     train.set_defaults(func=_cmd_train)
 
@@ -513,13 +512,11 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.set_defaults(func=_cmd_predict)
 
     preprocess_cmd = sub.add_parser("preprocess", help="print normalized text, one line per tweet")
-    preprocess_cmd.add_argument("--config", help="config file (flat key = value with [section]s)")
-    preprocess_cmd.add_argument("--data", required=True, help="dataset in block format")
     _add_setting_args(preprocess_cmd)
+    preprocess_cmd.add_argument("--data", required=True, help="dataset in block format")
     preprocess_cmd.set_defaults(func=_cmd_preprocess)
 
     grid = sub.add_parser("grid", help="train and evaluate all six model x doc-mode cells")
-    grid.add_argument("--config", help="config file (flat key = value with [section]s)")
     _add_setting_args(grid)
     grid.set_defaults(func=_cmd_grid)
     return parser

@@ -5,8 +5,9 @@ emoticon/emoji replacement, mention removal, URL replacement, elongation
 collapsing, hashtag segmentation, non-ASCII removal.  Non-ASCII removal
 runs last so emoji are textualized before they could be stripped.  Every
 rule returns single-space-separated text with no leading or trailing
-whitespace, which makes each rule (and the whole pipeline) idempotent.
-A pass runs a rule only where an exact test says it could change the text.
+whitespace, which makes each rule idempotent.  The pipeline returns only a
+text that its pass leaves unchanged, and a pass runs a rule only where an
+exact test says it could change the text.
 """
 
 import re
@@ -20,6 +21,7 @@ from .errors import ConfigError
 
 _LEXICON_RESOURCE = "data/emoticons.tsv"
 _MAX_RUN = 4294967295  # re compiles a repeat count {n,} only up to this minus 1
+_MAX_PASSES = 8  # measured texts settle within 3 passes, counting the one that finds the text unchanged
 
 
 def _squash(text: str) -> str:
@@ -48,9 +50,6 @@ class EmojiLexicon:
         for key, name in self._entries.items():  # else replacing a key writes a key, pass after pass
             if hit := self._pattern.search(f" {name} "):
                 raise ConfigError(f"emoji lexicon entry {key!r} writes {f' {name} '!r}, which holds the key {hit[0]!r}")
-
-    def name_of(self, key: str) -> str:
-        return self._entries[key]
 
     def spell(self, text: str) -> tuple[str, int]:
         """text with each key, longest first, replaced by its name between spaces; and the number replaced.
@@ -219,19 +218,20 @@ def _pipeline_pass(text: str, config: PipelineConfig, lexicon: EmojiLexicon) -> 
 
 
 def run_pipeline(text: str, config: PipelineConfig, lexicon: EmojiLexicon | None = None) -> str:
-    """Apply the enabled rules, in the fixed pipeline order, until stable.
+    """Apply the enabled rules, in the fixed pipeline order, until a pass leaves the text unchanged.
 
     A single ordered pass can expose material for rules that already ran
     (stripping a non-ASCII character may uncover a mention, removing a
-    mention may join the halves of an emoticon), so the pass repeats until
-    a fixed point or the bound below.
+    mention may join the halves of an emoji key), so the pass repeats until
+    it leaves the text unchanged, and that text is returned.  A text still
+    changing after _MAX_PASSES passes is a ConfigError: a lexicon whose
+    names form keys again (URL<TAB>a.com b.com doubles each URL) would make
+    it grow pass after pass.
     """
     lexicon = default_lexicon() if lexicon is None else lexicon
-    previous = None
     current = _squash(text)
-    for _ in range(max(8, len(current))):
+    for _ in range(_MAX_PASSES):
+        previous, current = current, _pipeline_pass(current, config, lexicon)
         if current == previous:
-            break
-        previous = current
-        current = _pipeline_pass(current, config, lexicon)
-    return current
+            return current
+    raise ConfigError(f"normalizing {text[:40]!r} did not settle within {_MAX_PASSES} passes; check the lexicon")

@@ -379,31 +379,32 @@ def frozen_collapse_elongation(text, min_run=3):
     return _squash("".join(out))
 
 
+def frozen_pipeline_pass(text, config, entries):
+    """One ordered pass over the frozen rules and the library's unchanged ones."""
+    if config.replace_emoji:
+        text = frozen_replace_emoji(text, entries)
+    if config.remove_mentions:
+        text = remove_mentions(text)
+    if config.replace_urls:
+        text = frozen_replace_urls(text)
+    if config.collapse_elongation:
+        text = frozen_collapse_elongation(text, config.elongation_min_run)
+    if config.segment_hashtags:
+        text = segment_hashtags(text)
+    if config.remove_non_ascii:
+        text = frozen_remove_non_ascii(text)
+    return _squash(text)
+
+
 def frozen_run_pipeline(text, config, entries):
-    """The fixed-point pipeline over the frozen rules and the library's unchanged ones."""
-
-    def one_pass(text):
-        if config.replace_emoji:
-            text = frozen_replace_emoji(text, entries)
-        if config.remove_mentions:
-            text = remove_mentions(text)
-        if config.replace_urls:
-            text = frozen_replace_urls(text)
-        if config.collapse_elongation:
-            text = frozen_collapse_elongation(text, config.elongation_min_run)
-        if config.segment_hashtags:
-            text = segment_hashtags(text)
-        if config.remove_non_ascii:
-            text = frozen_remove_non_ascii(text)
-        return _squash(text)
-
+    """The fixed-point pipeline over frozen_pipeline_pass, with its first bound: max(8, len) passes."""
     previous = None
     current = _squash(text)
     for _ in range(max(8, len(current))):
         if current == previous:
             break
         previous = current
-        current = one_pass(current)
+        current = frozen_pipeline_pass(current, config, entries)
     return current
 
 

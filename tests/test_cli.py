@@ -12,8 +12,9 @@ import synth
 from codemix import cli, models
 from codemix.corpus import Dataset, LangTag, Sentiment, format_conll, parse_conll
 from codemix.evaluation import score
-from codemix.models import LinearModel, ModelKind
-from codemix.vectorize import DocMode, load_tfidf
+from codemix.models import LinearModel, ModelKind, TrainConfig
+from codemix.preprocess import PipelineConfig
+from codemix.vectorize import DEFAULT_CHAR_ANALYZER, DEFAULT_WORD_ANALYZER, DocMode, load_tfidf
 
 import numpy as np
 
@@ -178,6 +179,19 @@ class TestTrain:
         assert run(args, capsys)[0] == 0
         second = {name: (out_dir / name).read_bytes() for name in ("tfidf.txt", "model.txt", "manifest.txt")}
         assert first == second
+
+    def test_schema_defaults_are_the_dataclass_defaults(self):
+        config = cli._build_run_config({})
+        assert (config.train, config.pipeline) == (TrainConfig(), PipelineConfig())
+        assert (config.word_analyzer, config.char_analyzer) == (DEFAULT_WORD_ANALYZER, DEFAULT_CHAR_ANALYZER)
+        assert config.values["vectorize.doc_mode"] is DocMode.ALL_DOCUMENTS
+
+    def test_a_text_that_does_not_settle_writes_nothing(self, workspace, capsys):
+        (workspace / "lexicon.tsv").write_text(RUNAWAY_LEXICONS[0][0], encoding="utf-8")
+        write_corpus(workspace / "train.txt", Dataset("train", (synth.make_tweet("1", ["URL"], Sentiment.POSITIVE),)))
+        args = ["train", "--config", workspace / "cfg.ini", "--data.lexicon", workspace / "lexicon.tsv"]
+        assert run(args, capsys) == (2, "", f"config error: {RUNAWAY_MESSAGE % 'URL'}\n")
+        assert not (workspace / "out").exists()
 
     def test_default_manifest_matches_golden(self, workspace, capsys, monkeypatch):
         monkeypatch.chdir(workspace)
@@ -556,7 +570,24 @@ LONE_CR_FILES = [
 ]
 
 
+# (lexicon file, tweet tokens, the one rule on or None for all six): each pass lengthens the tweet's text.
+RUNAWAY_LEXICONS = [
+    ("URL\ta.com b.com\n", ["URL"], None),
+    ("a a\ta  ab\n b\t ::\naa:\t:abb\n", ["ab:a", "a"], "replace_emoji"),
+]
+RUNAWAY_MESSAGE = "normalizing %r did not settle within 8 passes; check the lexicon"
+
+
 class TestPreprocessCommand:
+    @pytest.mark.parametrize("content, tokens, rule", RUNAWAY_LEXICONS, ids=["url", "spaced_keys"])
+    def test_a_text_that_does_not_settle_is_config_error(self, tmp_path, capsys, content, tokens, rule):
+        (tmp_path / "lex.tsv").write_text(content, encoding="utf-8")
+        write_corpus(tmp_path / "one.txt", Dataset("one", (synth.make_tweet("1", tokens),)))
+        args = ["preprocess", "--data", tmp_path / "one.txt", "--data.lexicon", tmp_path / "lex.tsv"]
+        for name in ALL_RULES if rule else ():
+            args += [f"--preprocess.{name}", "true" if name == rule else "false"]
+        assert run(args, capsys) == (2, "", f"config error: {RUNAWAY_MESSAGE % ' '.join(tokens)}\n")
+
     @pytest.mark.parametrize("content, message", LONE_CR_FILES, ids=["inside_a_token", "as_every_line_end"])
     def test_lone_carriage_return_is_refused_as_the_parser_refuses_it(self, tmp_path, capsys, content, message):
         (tmp_path / "cr.txt").write_bytes(content)
@@ -857,6 +888,9 @@ ARTIFACT_FAULTS = {
         3,
         "data error: vectorizer dimension 1999 does not match model dimension 5\n",
     ),
+    "manifest_cut": (
+        lambda ws: cut_last_byte(ws / "out" / "manifest.txt"), 3, "data error: manifest does not end in a line feed: "
+    ),
     "manifest": (lambda ws: tamper_run_seed(ws / "out" / "manifest.txt"), 3, "data error: manifest line 8 is 'run.seed=7'"),
     "lexicon": (lambda ws: (ws / "lexicon.tsv").unlink(), 2, "config error: data.lexicon does not exist: "),
 }
@@ -891,7 +925,11 @@ class TestModelParsedInAChild:
     @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
     @pytest.mark.parametrize(
         "faults",
-        [(), *((fault,) for fault in ARTIFACT_FAULTS), ("tfidf", "model"), ("model", "manifest"), ("manifest", "lexicon")],
+        [
+            (),
+            *((fault,) for fault in ARTIFACT_FAULTS),
+            *[("tfidf", "model"), ("model", "manifest"), ("manifest_cut", "manifest"), ("manifest", "lexicon")],
+        ],
         ids=lambda faults: "+".join(faults) or "none",
     )
     def test_the_fork_and_in_process_paths_agree(self, trained, capsys, monkeypatch, command, faults):

@@ -254,6 +254,16 @@ mixed_texts = st.lists(
 ).map("".join)
 
 
+def frozen_settles(text, config, entries):
+    """Whether one of the first 8 frozen passes over text leaves its text unchanged."""
+    current = preprocess._squash(text)
+    for _ in range(8):
+        previous, current = current, oracles.frozen_pipeline_pass(current, config, entries)
+        if current == previous:
+            return True
+    return False
+
+
 def loadable(entries):
     """entries less each one whose key occurs in a name as spell writes it, between spaces: a lexicon that loads."""
     spelled = [f" {name} " for name in entries.values()]
@@ -266,6 +276,22 @@ lexicons = st.dictionaries(
     min_size=0,
     max_size=12,
 ).map(loadable)
+
+
+# Lexicons that load, but whose names form a key again once the other rules or the spaces around a
+# name act on them: each pass doubles every "URL" of the first, and lengthens the second's text by 3.
+RUNAWAY = [
+    ({"URL": "a.com b.com"}, "URL", PipelineConfig()),
+    ({"a a": "a  ab", " b": " ::", "aa:": ":abb"}, "ab:a a", RULE_ONLY_CONFIGS["emoji"]),
+]
+# Pieces that rules act on: a URL and what replaces it, a hashtag, a mention, a letter that
+# remove_non_ascii strips, and spaces.
+TRIGGERS = ["URL", "a.com", "#", "@", "é", " ", "a", "b"]
+trigger_lexicons = st.dictionaries(
+    keys=st.lists(st.sampled_from(TRIGGERS), min_size=1, max_size=2).map("".join),
+    values=st.lists(st.sampled_from(TRIGGERS), min_size=1, max_size=4).map("".join),
+    max_size=4,
+)
 
 
 class TestMatchesFrozenRules:
@@ -341,10 +367,15 @@ class TestMatchesFrozenRules:
     @example(text="ab.com", rules=[True] * 6, min_run=3, entries={"URL": "x"})
     @example(text="Ññññ xÑÑÑ", rules=[True] * 6, min_run=3, entries={})  # ASCII only after stripping
     @example(text="http://x", rules=[True] * 6, min_run=3, entries={})  # a URL with no "."
+    @example(text="ab:a a", rules=[True] + [False] * 5, min_run=3, entries=RUNAWAY[1][0])  # never settles
     def test_run_pipeline(self, lexicon, text, rules, min_run, entries):
         config = PipelineConfig(*rules, elongation_min_run=min_run)
         lexicon = lexicon if entries is None else EmojiLexicon(entries)
-        assert run_pipeline(text, config, lexicon) == oracles.frozen_run_pipeline(text, config, lexicon._entries)
+        if frozen_settles(text, config, lexicon._entries):
+            assert run_pipeline(text, config, lexicon) == oracles.frozen_run_pipeline(text, config, lexicon._entries)
+        else:
+            with pytest.raises(ConfigError, match="did not settle within 8 passes"):
+                run_pipeline(text, config, lexicon)
 
     @pytest.mark.parametrize(
         "text,entries,expected",
@@ -369,11 +400,35 @@ class TestMatchesFrozenRules:
             assert run_pipeline(text, config, lexicon) == oracles.frozen_run_pipeline(text, config, lexicon._entries)
 
 
+class TestPassBudget:
+    @pytest.mark.parametrize("entries,text,config", RUNAWAY)
+    def test_a_text_that_does_not_settle_is_refused(self, entries, text, config):
+        with pytest.raises(ConfigError, match=re.escape(f"normalizing {text!r} did not settle within 8 passes")):
+            run_pipeline(text, config, EmojiLexicon(entries))
+
+    # A text of at most 8 characters: each pass may multiply a text that a lexicon makes grow.
+    @given(
+        text=st.lists(st.sampled_from(TRIGGERS), max_size=4).map(lambda pieces: "".join(pieces)[:8]),
+        entries=trigger_lexicons,
+        rules=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    @example(text=RUNAWAY[0][1], entries=RUNAWAY[0][0], rules=[True] * 6)
+    @example(text=RUNAWAY[1][1], entries=RUNAWAY[1][0], rules=[True] + [False] * 5)
+    def test_every_text_returned_is_a_fixed_point(self, text, entries, rules):
+        config = PipelineConfig(*rules)
+        try:
+            lexicon = EmojiLexicon(entries)
+            cleaned = run_pipeline(text, config, lexicon)
+        except ConfigError:
+            return
+        # The pass first: it is cheap even where cleaned is long and unsettled.
+        assert preprocess._pipeline_pass(cleaned, config, lexicon) == cleaned
+        assert run_pipeline(cleaned, config, lexicon) == cleaned
+
+
 class TestEmojiLexicon:
     def test_from_lines_skips_comments_and_blanks(self):
         lex = EmojiLexicon.from_lines(["# comment", "", ":)\tsmiley face", "<3\theart"])
-        assert lex.name_of(":)") == "smiley face"
-        assert lex.name_of("<3") == "heart"
         assert lex.spell("# comment :) <3") == ("# comment  smiley face   heart ", 2)
 
     def test_missing_tab_rejected(self):
@@ -386,7 +441,6 @@ class TestEmojiLexicon:
 
     def test_consistent_duplicate_allowed(self):
         lex = EmojiLexicon.from_lines([":)\tsmiley face", ":)\tsmiley face"])
-        assert lex.name_of(":)") == "smiley face"
         assert lex.spell(":):)") == (" smiley face  smiley face ", 2)
 
     def test_empty_key_or_value_rejected(self):
@@ -415,13 +469,13 @@ class TestEmojiLexicon:
     def test_from_file(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text(":D\tgrinning face\n", encoding="utf-8")
-        assert EmojiLexicon.from_file(str(path)).name_of(":D") == "grinning face"
+        assert EmojiLexicon.from_file(str(path)).spell(":D") == (" grinning face ", 1)
 
     def test_from_file_ends_lines_only_at_line_feeds(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_bytes(b"a\rb\tname one\r\n:D\tgrinning face")
         lexicon = EmojiLexicon.from_file(str(path))
-        assert (lexicon.name_of("a\rb"), lexicon.name_of(":D")) == ("name one", "grinning face")
+        assert lexicon.spell("a\rb:D") == (" name one  grinning face ", 2)
 
     def test_default_lexicon_has_core_entries(self, lexicon):
         for key, name in [
@@ -431,11 +485,10 @@ class TestEmojiLexicon:
             (":(", "sad face"),
             ("❤", "red heart"),
         ]:
-            assert lexicon.name_of(key) == name
+            assert lexicon.spell(key) == (f" {name} ", 1)
 
     def test_default_lexicon_names_are_lowercase_ascii_words(self, lexicon):
-        for key in lexicon._entries:  # noqa: SLF001 - shape check over bundled data
-            name = lexicon.name_of(key)
+        for name in lexicon._entries.values():  # noqa: SLF001 - shape check over bundled data
             assert name == name.lower()
             assert all(ord(ch) <= 0x7F for ch in name)
             assert name == " ".join(name.split())
