@@ -176,6 +176,8 @@ def _build_run_config(settings: Settings) -> RunConfig:
         for key, (default, parse, _help) in keys.items():
             raw = settings.get((section, key))
             text = resolved[f"{section}.{key}"] = (default if raw is None else raw).strip()
+            if "\n" in text:  # the manifest records each setting on one line
+                raise ConfigError(f"{section}.{key} must fit on one line, got {raw!r}")
             try:
                 parsed[key] = parse(text) if raw is not None or default else None
             except ValueError:
@@ -295,51 +297,43 @@ def _read_manifest(manifest_path: str) -> tuple[RunConfig, int, list[str]]:
 
 
 def _predict_dataset(model_dir: str, dataset: Dataset) -> list:
-    """Score dataset with the artifacts in model_dir, parsing model.txt beside (_side_by_side) the rest.  The
-    first failure in this order is raised: a missing artifact file, the tfidf.txt parse, the model.txt parse,
-    the dimensions, the manifest's config and run.n_train_tweets, a manifest that is not exactly the
-    _manifest_lines of that config, these artifacts and that count (quoting the first line that differs),
-    then the lexicon, preprocessing and transform."""
+    """Score dataset with the artifacts in model_dir.  The manifest, an artifact dir's commit marker, is read
+    first and in this process; then model.txt is parsed beside (_side_by_side) the tfidf.txt parse and the
+    lexicon, preprocessing and transform.  The first failure in this order is raised: a missing artifact file,
+    the manifest's final line feed, config and run.n_train_tweets, the tfidf.txt parse, the lexicon,
+    preprocessing and transform, the model.txt parse, the dimensions, then a manifest that is not exactly the
+    _manifest_lines of that config, these artifacts and that count (quoting the first line that differs)."""
     tfidf_path, model_path, manifest_path = (
         os.path.join(model_dir, name) for name in (TFIDF_FILE, MODEL_FILE, MANIFEST_FILE)
     )
     _require_file(tfidf_path, "vectorizer artifact")
     _require_file(model_path, "model artifact")
     _require_file(manifest_path, "manifest")
+    config, n_train, lines = _read_manifest(manifest_path)
 
-    def featurize() -> tuple:
-        """The vectorizer, the manifest and the data's rows, a later failure standing in for what it stopped."""
-        tfidf, manifest = load_tfidf(tfidf_path), None
-        try:
-            manifest = _read_manifest(manifest_path)
-            config = manifest[0]
-            return tfidf, manifest, transform_batch(tfidf, _preprocess_texts(config, dataset, _load_lexicon(config)))
-        except Exception as exc:  # noqa: BLE001 - raised below, after the checks that come before it
-            return tfidf, manifest or exc, exc
+    def featurize() -> tuple[TfIdfModel, csr_matrix]:
+        tfidf = load_tfidf(tfidf_path)
+        return tfidf, transform_batch(tfidf, _preprocess_texts(config, dataset, _load_lexicon(config)))
 
-    (tfidf, manifest, features), classifier = _side_by_side(
+    (tfidf, features), classifier = _side_by_side(
         featurize, functools.partial(load_model, model_path), "the process parsing model.txt"
     )
     if tfidf.dim != classifier.dim:
         raise DataError(f"vectorizer dimension {tfidf.dim} does not match model dimension {classifier.dim}")
-    if isinstance(manifest, Exception):
-        raise manifest
-    config, n_train, lines = manifest
     expected = _manifest_lines(config, tfidf, classifier, n_train)
     quoted = itertools.zip_longest(map(repr, lines), map(repr, expected), fillvalue="end of file")
     for number, (found, line) in enumerate(quoted, start=1):
         if found != line:
             raise DataError(f"manifest line {number} is {found}, expected {line}: {manifest_path}")
-    if isinstance(features, Exception):
-        raise features
     return predict_batch(classifier, features)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     config = _build_run_config(_collect_settings(args))
     dataset = _load_training_data(config)
+    labels = require_labels(dataset)
     tfidf, features = _featurize(config, dataset, _preprocess_texts(config, dataset, _load_lexicon(config)))
-    classifier = fit(features, require_labels(dataset), config.train)
+    classifier = fit(features, labels, config.train)
     _write_artifacts(config, tfidf, classifier, len(dataset), config.values["output.dir"])
     print(f"trained {config.train.model_kind.value} model on {len(dataset)} tweets")
     print(f"artifacts written to {config.values['output.dir']}")

@@ -193,6 +193,26 @@ class TestTrain:
         assert run(args, capsys) == (2, "", f"config error: {RUNAWAY_MESSAGE % 'URL'}\n")
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("mode", [mode.value for mode in DocMode])
+    def test_an_unlabeled_tweet_is_refused_before_any_work(self, workspace, capsys, monkeypatch, mode):
+        train = synth.synthetic_dataset("train", 90, seed=101)
+        tweets = train.tweets[:-1] + (dataclasses.replace(train.tweets[-1], sentiment=None),)
+        write_corpus(workspace / "train.txt", Dataset("train", tweets))
+        monkeypatch.setattr(cli, "run_pipeline", lambda *args: pytest.fail("a tweet was preprocessed"))
+        code, out, err = run(["train", "--config", workspace / "cfg.ini", "--vectorize.doc_mode", mode], capsys)
+        assert (code, out, err) == (3, "", f"data error: tweet {tweets[-1].id!r} has no sentiment label\n")
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_a_setting_of_more_than_one_line_is_config_error(self, workspace, capsys, monkeypatch, source):
+        # configparser joins an indented line to the value above it; the manifest could not record that value.
+        monkeypatch.chdir(workspace)
+        write_config(workspace / "multi.ini", train="train.txt", out_dir="o1", extra="  extra\n")
+        args = ["--config", "multi.ini"] if source == "config" else ["--data.train", "train.txt", "--output.dir", "o1\nextra"]
+        before = sorted(workspace.iterdir())
+        assert run(["train", *args], capsys) == (2, "", "config error: output.dir must fit on one line, got 'o1\\nextra'\n")
+        assert sorted(workspace.iterdir()) == before
+
     def test_default_manifest_matches_golden(self, workspace, capsys, monkeypatch):
         monkeypatch.chdir(workspace)
         assert run(["train", "--data.train", "train.txt"], capsys)[0] == 0
@@ -881,18 +901,18 @@ def tamper_run_seed(manifest):
 # fault -> (what it does to a workspace trained with lexicon.tsv, exit code, start of stderr), in the order eval
 # and predict check for them: each fault's error wins over the ones below it.
 ARTIFACT_FAULTS = {
+    "manifest_cut": (
+        lambda ws: cut_last_byte(ws / "out" / "manifest.txt"), 3, "data error: manifest does not end in a line feed: "
+    ),
     "tfidf": (lambda ws: cut_last_byte(ws / "out" / "tfidf.txt"), 3, "data error: tfidf file does not end in a line feed\n"),
+    "lexicon": (lambda ws: (ws / "lexicon.tsv").unlink(), 2, "config error: data.lexicon does not exist: "),
     "model": (lambda ws: cut_last_byte(ws / "out" / "model.txt"), 3, "data error: model file does not end in a line feed\n"),
     "dimension": (
         lambda ws: models.save_model(LinearModel(ModelKind.SVM, np.zeros((3, 5)), np.zeros(3)), str(ws / "out" / "model.txt")),
         3,
         "data error: vectorizer dimension 1999 does not match model dimension 5\n",
     ),
-    "manifest_cut": (
-        lambda ws: cut_last_byte(ws / "out" / "manifest.txt"), 3, "data error: manifest does not end in a line feed: "
-    ),
     "manifest": (lambda ws: tamper_run_seed(ws / "out" / "manifest.txt"), 3, "data error: manifest line 8 is 'run.seed=7'"),
-    "lexicon": (lambda ws: (ws / "lexicon.tsv").unlink(), 2, "config error: data.lexicon does not exist: "),
 }
 
 
@@ -910,17 +930,38 @@ class TestModelParsedInAChild:
         args = [command, "--model-dir", workspace / "out", "--data", workspace / "dev.txt"]
         return [*args, "--out", workspace / "run" / "predictions.tsv"] if command == "predict" else args
 
-    def test_a_dir_without_its_manifest_is_refused_before_any_parse(self, trained, capsys, monkeypatch, command):
+    @pytest.mark.parametrize(
+        "fault, exit_code, message",
+        [
+            ("missing", 2, "config error: manifest does not exist: {}\n"),
+            ("cut", 3, "data error: manifest does not end in a line feed: {}\n"),
+            ("epochs=x", 2, "config error: invalid value 'x' for train.epochs\n"),
+        ],
+        ids=["missing", "cut", "value_that_does_not_parse"],
+    )
+    def test_a_dir_without_its_manifest_is_refused_before_any_parse(
+        self, trained, capsys, monkeypatch, command, fault, exit_code, message
+    ):
         def parsed(path):
             raise AssertionError(f"{path} was parsed")
 
-        (trained / "out" / "manifest.txt").unlink()
+        def side_by_side(*args):
+            raise AssertionError("a child process was started")
+
+        manifest = trained / "out" / "manifest.txt"
+        if fault == "missing":
+            manifest.unlink()
+        elif fault == "cut":
+            cut_last_byte(manifest)
+        else:
+            manifest.write_text(manifest.read_text(encoding="utf-8").replace("epochs=2\n", "epochs=x\n"), encoding="utf-8")
         (trained / "run").mkdir()
         monkeypatch.setattr(cli, "load_tfidf", parsed)
         monkeypatch.setattr(cli, "load_model", parsed)
+        monkeypatch.setattr(cli, "_side_by_side", side_by_side)
         code, out, err = run(self.args(trained, command), capsys)
-        assert (code, out, err) == (2, "", f"config error: manifest does not exist: {trained / 'out' / 'manifest.txt'}\n")
-        assert multiprocessing.active_children() == []
+        assert (code, out, err) == (exit_code, "", message.format(manifest))
+        assert multiprocessing.active_children() == [] and list((trained / "run").iterdir()) == []
 
     @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
     @pytest.mark.parametrize(
@@ -928,7 +969,14 @@ class TestModelParsedInAChild:
         [
             (),
             *((fault,) for fault in ARTIFACT_FAULTS),
-            *[("tfidf", "model"), ("model", "manifest"), ("manifest_cut", "manifest"), ("manifest", "lexicon")],
+            *[
+                ("tfidf", "model"),
+                ("model", "manifest"),
+                ("manifest_cut", "manifest"),
+                ("manifest_cut", "tfidf"),
+                ("lexicon", "manifest"),
+                ("lexicon", "model"),
+            ],
         ],
         ids=lambda faults: "+".join(faults) or "none",
     )
@@ -937,8 +985,10 @@ class TestModelParsedInAChild:
             ARTIFACT_FAULTS[fault][0](trained)
         args = self.args(trained, command)
         forked, in_process = on_both_paths(monkeypatch, capsys, args, trained / "run", "load_model", no_fork)
-        # The model is parsed even when the vectorizer fails, and the child is joined, not killed.
-        assert (forked[-1], in_process[-1]) == (["child"], ["parent"])
+        # A manifest that fails its read stops the command before any parse and any child. After that read the
+        # model is parsed even when the vectorizer fails, and the child is joined, not killed.
+        parses = ([], []) if faults[:1] == ("manifest_cut",) else (["child"], ["parent"])
+        assert (forked[-1], in_process[-1]) == parses
         assert forked[:-1] == in_process[:-1]
         code, out, err, files, _ = forked
         if faults:
