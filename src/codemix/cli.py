@@ -4,8 +4,9 @@ Configuration is a flat ``key = value`` file with one section per module
 (see _SCHEMA); every setting can also be passed as ``--section.key value``,
 which overrides the file.  Exit codes: 0 success, 2 config error, 3 data
 error, a non-UTF-8 input or an OSError (unreadable input, unwritable
-output.dir, a grid's doc mode process or an eval's or predict's model.txt
-parse process that died without reporting), 4 numeric failure.
+output.dir, a grid's doc mode process or the process of an eval or predict
+that normalizes the tweets and parses model.txt, dead before it reported),
+4 numeric failure.
 """
 
 import argparse
@@ -16,8 +17,10 @@ import hashlib
 import itertools
 import multiprocessing
 import os
+import queue
 import sys
-from collections.abc import Callable, Sequence
+import threading
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -298,11 +301,12 @@ def _read_manifest(manifest_path: str) -> tuple[RunConfig, int, list[str]]:
 
 def _predict_dataset(model_dir: str, dataset: Dataset) -> list:
     """Score dataset with the artifacts in model_dir.  The manifest, an artifact dir's commit marker, is read
-    first and in this process; then model.txt is parsed beside (_side_by_side) the tfidf.txt parse and the
-    lexicon, preprocessing and transform.  The first failure in this order is raised: a missing artifact file,
-    the manifest's final line feed, config and run.n_train_tweets, the tfidf.txt parse, the lexicon,
-    preprocessing and transform, the model.txt parse, the dimensions, then a manifest that is not exactly the
-    _manifest_lines of that config, these artifacts and that count (quoting the first line that differs)."""
+    first and the lexicon loaded next, both in this process.  Then (_side_by_side) one step normalizes the
+    tweets and the next parses model.txt, while this process parses tfidf.txt and transforms the normalized
+    texts once they arrive.  The first failure in this order is raised: a missing artifact file, the manifest's
+    final line feed, config and run.n_train_tweets, the lexicon, the tfidf.txt parse, preprocessing and
+    transform, the model.txt parse, the dimensions, then a manifest that is not exactly the _manifest_lines of
+    that config, these artifacts and that count (quoting the first line that differs)."""
     tfidf_path, model_path, manifest_path = (
         os.path.join(model_dir, name) for name in (TFIDF_FILE, MODEL_FILE, MANIFEST_FILE)
     )
@@ -310,13 +314,16 @@ def _predict_dataset(model_dir: str, dataset: Dataset) -> list:
     _require_file(model_path, "model artifact")
     _require_file(manifest_path, "manifest")
     config, n_train, lines = _read_manifest(manifest_path)
+    lexicon = _load_lexicon(config)  # loaded here, a fork inherits it and default_lexicon() keeps its cache
 
-    def featurize() -> tuple[TfIdfModel, csr_matrix]:
+    def featurize(results: Iterator[object]) -> tuple[TfIdfModel, csr_matrix]:
         tfidf = load_tfidf(tfidf_path)
-        return tfidf, transform_batch(tfidf, _preprocess_texts(config, dataset, _load_lexicon(config)))
+        return tfidf, transform_batch(tfidf, next(results))
 
-    (tfidf, features), classifier = _side_by_side(
-        featurize, functools.partial(load_model, model_path), "the process parsing model.txt"
+    (tfidf, features), (_, classifier) = _side_by_side(
+        featurize,
+        [functools.partial(_preprocess_texts, config, dataset, lexicon), functools.partial(load_model, model_path)],
+        "the process normalizing the tweets and parsing model.txt",
     )
     if tfidf.dim != classifier.dim:
         raise DataError(f"vectorizer dimension {tfidf.dim} does not match model dimension {classifier.dim}")
@@ -403,43 +410,81 @@ def _grid_mode(
     return reports
 
 
-def _side_by_side(here: Callable[[], object], there: Callable[[], object], process: str) -> tuple[object, object]:
-    """here() and there(), or the first failure of the two, here()'s before there()'s.  Where the platform can
-    fork and this process may use two or more CPUs, there() runs in a forked child, which inherits its inputs
-    and sends back only its result or the exception it raised, while this process runs here(); the child is
-    joined before this returns or raises, and one that dies without reporting is a ChildProcessError naming
-    it as process.  Elsewhere here() and then there() run in this process.  A failing here() does not stop
-    there(), nor the reverse."""
+def _side_by_side(
+    here: Callable[[Iterator[object]], object], there: Sequence[Callable[[], object]], process: str
+) -> tuple[object, list[object]]:
+    """here(results)'s result and the list of the steps' results, or the first failure among them: here()'s
+    own (a step's exception it lets through included), then the steps' in order.  results yields the results
+    of the steps in there in their order, and raises a step's exception in place of its result.  Where the
+    platform can fork and this process may use two or more CPUs, the steps run in order in a forked child,
+    which inherits their inputs and sends back each step's result, or the exception it raised, as soon as
+    that step is done, while this process runs here(); a thread of this process receives each outcome as it
+    arrives, so the child never waits on a full pipe for here() to ask.  Every outcome is received and the
+    child joined before this returns or raises, and a child that dies before it has sent a step's outcome
+    whole is a ChildProcessError naming it as process.  Elsewhere each step runs in this process when results
+    reaches it, and the steps here() did not reach run after it.  No failure stops here() or a later step."""
 
     def outcome(run: Callable[[], object]) -> object:
         try:
             return run()
-        except Exception as exc:  # noqa: BLE001 - raised below once both have finished
+        except Exception as exc:  # noqa: BLE001 - raised below once every step has run
             return exc
 
+    outcomes: list[object] = []
+
+    def results() -> Iterator[object]:
+        while len(outcomes) < len(there):
+            outcomes.append(value := next_outcome())
+            if isinstance(value, Exception):
+                raise value
+            yield value
+
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        results = outcome(here), outcome(there)
-    else:
-        context = multiprocessing.get_context("fork")
-        receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(target=lambda: sender.send(outcome(there)))
-        child.start()
-        sender.close()  # with only the child's copy open, recv() raises EOFError if the child dies without sending
-        try:
-            mine = outcome(here)
-            try:
-                results = mine, receiver.recv()
-            except EOFError:
-                child.join()
-                results = mine, ChildProcessError(f"{process} exited with code {child.exitcode} before it reported")
-        finally:
-            receiver.close()
-            child.join()
-    for value in results:
+    with contextlib.ExitStack() as cleanup:
+        if cpus < 2 or "fork" not in multiprocessing.get_all_start_methods():
+
+            def next_outcome() -> object:
+                return outcome(there[len(outcomes)])
+
+        else:
+            context = multiprocessing.get_context("fork")
+            receiver, sender = context.Pipe(duplex=False)
+
+            def report_each() -> None:
+                receiver.close()  # else a send to a pipe this process closed below could block for good
+                for step in there:
+                    sender.send(outcome(step))
+
+            child = context.Process(target=report_each)
+            child.start()
+            sender.close()  # with only the child's copy open, recv() meets the end of file once the child is gone
+            arrived: queue.SimpleQueue[object] = queue.SimpleQueue()
+
+            def receive() -> object:
+                try:
+                    return receiver.recv()
+                except (EOFError, OSError):  # OSError: the child died inside a send
+                    child.join()
+                    return ChildProcessError(f"{process} exited with code {child.exitcode} before it reported")
+
+            def receive_each() -> None:  # started after the fork, which copies only the thread that calls it
+                for _ in there:
+                    arrived.put(outcome(receive))
+
+            reader = threading.Thread(target=receive_each, daemon=True)
+            reader.start()
+            cleanup.callback(child.join)
+            cleanup.callback(receiver.close)
+            cleanup.callback(reader.join)  # runs first: it ends once every outcome has arrived
+            next_outcome = arrived.get
+
+        mine = outcome(lambda: here(results()))
+        while len(outcomes) < len(there):
+            outcomes.append(next_outcome())
+    for value in (mine, *outcomes):
         if isinstance(value, Exception):
             raise value
-    return results
+    return mine, outcomes
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
@@ -460,10 +505,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     texts, dev_texts = (_preprocess_texts(config, data, lexicon) for data in (dataset, dev))
     run_mode = functools.partial(_grid_mode, configs, dataset, labels, texts, gold, dev_texts)
     first, last = DocMode
-    by_mode = _side_by_side(
-        functools.partial(run_mode, first), functools.partial(run_mode, last), f"the {last.value} doc mode's process"
+    first_cells, (last_cells,) = _side_by_side(
+        lambda _results: run_mode(first), [functools.partial(run_mode, last)], f"the {last.value} doc mode's process"
     )
-    reports = {(kind, mode): report for mode, cells in zip(DocMode, by_mode) for kind, report in cells.items()}
+    by_mode = zip(DocMode, (first_cells, last_cells))
+    reports = {(kind, mode): report for mode, cells in by_mode for kind, report in cells.items()}
     rows = [GridRow(kind.value.upper(), mode.display_label, reports[kind, mode]) for kind, mode in _GRID_CELLS]
     print(comparison_grid(rows))
     print()

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import os
+import select
 import shutil
 import signal
 from collections import Counter
@@ -49,6 +52,22 @@ def record_calls(monkeypatch, module, name, log, describe):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
+
+
+@contextlib.contextmanager
+def deadline(seconds, message):
+    """Raise TimeoutError(message) in the body if it still runs after seconds (SIGALRM)."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def recorded(log):
@@ -841,35 +860,29 @@ class TestGridCommand:
                 os._exit(9)
             return original(*args)
 
-        def timed_out(signum, frame):
-            raise TimeoutError("grid still waits for a child that died")
-
         original = cli.fit_all
         monkeypatch.setattr(cli, "fit_all", dying)
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        signal.alarm(60)
-        try:
+        with deadline(60, "grid still waits for a child that died"):
             code, out, err = run(["grid", "--config", workspace / "cfg.ini", *self.EPOCHS], capsys)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         message = "the all_documents doc mode's process exited with code 9 before it reported"
         assert (code, out, err) == (3, "", f"i/o error: {message}\n")
         assert sorted(os.listdir(workspace / "out" / "grid")) == [f"{kind.value}_per_class_concatenated" for kind in ModelKind]
 
 
-def on_both_paths(monkeypatch, capsys, args, out_dir, function, in_process):
+def on_both_paths(monkeypatch, capsys, args, out_dir, functions, in_process):
     """Per path, fork first: cli.main(args)'s exit code, stdout and stderr, every file under out_dir (made
-    empty before each call) by relative path, and the process each call of cli.function ran in, "parent"
-    or "child", sorted.  The fork path may use two CPUs; in_process(patch) sets up the other path.  No
-    child process is left after either call."""
-    log = out_dir.parent / f"{function}.log"
-    record_calls(monkeypatch, cli, function, log, lambda *args, **kwargs: os.getpid())
+    empty before each call) by relative path, and for each name in functions the process each call of
+    cli.<name> ran in, "parent" or "child", sorted.  The fork path may use two CPUs; in_process(patch) sets
+    up the other path.  No child process is left after either call."""
+    logs = {function: out_dir.parent / f"{function}.log" for function in functions}
+    for function, log in logs.items():
+        record_calls(monkeypatch, cli, function, log, lambda *args, **kwargs: os.getpid())
     results = []
     for forks in (True, False):
         shutil.rmtree(out_dir, ignore_errors=True)
         out_dir.mkdir()
-        log.unlink(missing_ok=True)
+        for log in logs.values():
+            log.unlink(missing_ok=True)
         with monkeypatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
             if not forks:
@@ -877,7 +890,10 @@ def on_both_paths(monkeypatch, capsys, args, out_dir, function, in_process):
             outcome = run(args, capsys)
         assert multiprocessing.active_children() == []
         files = {path.relative_to(out_dir).as_posix(): path.read_bytes() for path in out_dir.rglob("*") if path.is_file()}
-        ran_in = sorted("parent" if int(pid) == os.getpid() else "child" for pid in recorded(log))
+        ran_in = {
+            function: sorted("parent" if int(pid) == os.getpid() else "child" for pid in recorded(log))
+            for function, log in logs.items()
+        }
         results.append((*outcome, files, ran_in))
     return results
 
@@ -898,14 +914,24 @@ def tamper_run_seed(manifest):
     manifest.write_text(manifest.read_text(encoding="utf-8").replace("run.seed=0\n", "run.seed=7\n"), encoding="utf-8")
 
 
+def runaway_lexicon(workspace):
+    """Swap the lexicon for one that loads but doubles each URL, and add a tweet that holds one."""
+    (workspace / "lexicon.tsv").write_text("URL\ta.com b.com\n", encoding="utf-8")
+    with open(workspace / "dev.txt", "a", encoding="utf-8") as handle:
+        handle.write("\nmeta 10030 positive\nURL\tlang1\n")
+
+
 # fault -> (what it does to a workspace trained with lexicon.tsv, exit code, start of stderr), in the order eval
 # and predict check for them: each fault's error wins over the ones below it.
 ARTIFACT_FAULTS = {
     "manifest_cut": (
         lambda ws: cut_last_byte(ws / "out" / "manifest.txt"), 3, "data error: manifest does not end in a line feed: "
     ),
-    "tfidf": (lambda ws: cut_last_byte(ws / "out" / "tfidf.txt"), 3, "data error: tfidf file does not end in a line feed\n"),
     "lexicon": (lambda ws: (ws / "lexicon.tsv").unlink(), 2, "config error: data.lexicon does not exist: "),
+    "tfidf": (lambda ws: cut_last_byte(ws / "out" / "tfidf.txt"), 3, "data error: tfidf file does not end in a line feed\n"),
+    "preprocess": (
+        runaway_lexicon, 2, "config error: normalizing 'URL' did not settle within 8 passes; check the lexicon\n"
+    ),
     "model": (lambda ws: cut_last_byte(ws / "out" / "model.txt"), 3, "data error: model file does not end in a line feed\n"),
     "dimension": (
         lambda ws: models.save_model(LinearModel(ModelKind.SVM, np.zeros((3, 5)), np.zeros(3)), str(ws / "out" / "model.txt")),
@@ -976,6 +1002,8 @@ class TestModelParsedInAChild:
                 ("manifest_cut", "tfidf"),
                 ("lexicon", "manifest"),
                 ("lexicon", "model"),
+                ("tfidf", "preprocess"),
+                ("preprocess", "model"),
             ],
         ],
         ids=lambda faults: "+".join(faults) or "none",
@@ -984,11 +1012,18 @@ class TestModelParsedInAChild:
         for fault in faults:
             ARTIFACT_FAULTS[fault][0](trained)
         args = self.args(trained, command)
-        forked, in_process = on_both_paths(monkeypatch, capsys, args, trained / "run", "load_model", no_fork)
-        # A manifest that fails its read stops the command before any parse and any child. After that read the
-        # model is parsed even when the vectorizer fails, and the child is joined, not killed.
-        parses = ([], []) if faults[:1] == ("manifest_cut",) else (["child"], ["parent"])
-        assert (forked[-1], in_process[-1]) == parses
+        functions = ("load_model", "run_pipeline")
+        forked, in_process = on_both_paths(monkeypatch, capsys, args, trained / "run", functions, no_fork)
+        # A manifest or lexicon that fails to load stops the command before any parse and any child. After the
+        # lexicon loads every tweet is normalized (the one with a runaway URL last) and the model is parsed, in
+        # the child on the fork path, even when the vectorizer or the normalizing fails; the child is joined,
+        # not killed.
+        if faults[:1] in (("manifest_cut",), ("lexicon",)):
+            assert forked[-1] == in_process[-1] == {"load_model": [], "run_pipeline": []}
+        else:
+            tweets = 30 + ("preprocess" in faults)
+            assert forked[-1] == {"load_model": ["child"], "run_pipeline": ["child"] * tweets}
+            assert in_process[-1] == {"load_model": ["parent"], "run_pipeline": ["parent"] * tweets}
         assert forked[:-1] == in_process[:-1]
         code, out, err, files, _ = forked
         if faults:
@@ -1003,46 +1038,177 @@ class TestModelParsedInAChild:
 
     @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
     def test_one_cpu_parses_the_model_in_this_process_with_the_same_bytes(self, trained, capsys, monkeypatch, command):
-        forked, single = on_both_paths(monkeypatch, capsys, self.args(trained, command), trained / "run", "load_model", one_cpu)
-        assert (forked[-1], single[-1]) == (["child"], ["parent"])
+        args = self.args(trained, command)
+        forked, single = on_both_paths(monkeypatch, capsys, args, trained / "run", ("load_model", "run_pipeline"), one_cpu)
+        assert forked[-1] == {"load_model": ["child"], "run_pipeline": ["child"] * 30}
+        assert single[-1] == {"load_model": ["parent"], "run_pipeline": ["parent"] * 30}
         assert forked[:-1] == single[:-1] and forked[0] == 0
+
+    def die_in_the_child(self, trained, capsys, monkeypatch, command, function, mid_send=False):
+        """Run command with cli.<function> ending the forked child with exit code 9, before it returns or, with
+        mid_send, halfway through sending its result padded past a pipe's size, and check that it exits 3
+        naming the child's process, leaves no child and writes nothing."""
+        parent = os.getpid()
+        original = getattr(cli, function)
+        send = multiprocessing.connection.Connection._send
+
+        def send_half(connection, buf, *args):
+            if len(buf) <= 16384:  # the length header, which the child sends whole
+                return send(connection, buf, *args)
+            send(connection, memoryview(buf)[: len(buf) // 2], *args)
+            os._exit(9)
+
+        def dying(*args):
+            if os.getpid() == parent:
+                return original(*args)
+            if not mid_send:
+                os._exit(9)
+            multiprocessing.connection.Connection._send = send_half  # in the child only
+            return original(*args) + ["x" * 200_000]
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, function, dying)
+        (trained / "run").mkdir()
+        with deadline(60, f"{command} still waits for a child that died"):
+            code, out, err = run(self.args(trained, command), capsys)
+        message = "the process normalizing the tweets and parsing model.txt exited with code 9 before it reported"
+        assert (code, out, err) == (3, "", f"i/o error: {message}\n")
+        assert multiprocessing.active_children() == [] and list((trained / "run").iterdir()) == []
 
     @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
     def test_a_child_that_dies_exits_3_naming_the_model_parse(self, trained, capsys, monkeypatch, command):
-        parent = os.getpid()
+        self.die_in_the_child(trained, capsys, monkeypatch, command, "load_model")
 
-        def dying(path):
-            if os.getpid() != parent:
-                os._exit(9)
-            return original(path)
+    @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+    def test_a_child_that_dies_normalizing_exits_3_naming_its_process(self, trained, capsys, monkeypatch, command):
+        self.die_in_the_child(trained, capsys, monkeypatch, command, "run_pipeline")
 
-        def timed_out(signum, frame):
-            raise TimeoutError(f"{command} still waits for a child that died")
-
-        original = cli.load_model
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(cli, "load_model", dying)
-        (trained / "run").mkdir()
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        signal.alarm(60)
-        try:
-            code, out, err = run(self.args(trained, command), capsys)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        message = "the process parsing model.txt exited with code 9 before it reported"
-        assert (code, out, err) == (3, "", f"i/o error: {message}\n")
-        assert multiprocessing.active_children() == [] and list((trained / "run").iterdir()) == []
+    @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+    def test_a_child_that_dies_sending_the_texts_exits_3_naming_its_process(self, trained, capsys, monkeypatch, command):
+        self.die_in_the_child(trained, capsys, monkeypatch, command, "_preprocess_texts", mid_send=True)
 
 
 @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
 def test_a_grid_on_one_cpu_runs_both_doc_modes_in_its_own_process_with_the_same_bytes(workspace, capsys, monkeypatch):
     args = ["grid", "--config", workspace / "cfg.ini", "--train.epochs", "2", "--output.dir", workspace / "run"]
-    forked, single = on_both_paths(monkeypatch, capsys, args, workspace / "run", "_grid_mode", one_cpu)
-    assert (forked[-1], single[-1]) == (["child", "parent"], ["parent", "parent"])
+    forked, single = on_both_paths(monkeypatch, capsys, args, workspace / "run", ("_grid_mode",), one_cpu)
+    assert (forked[-1], single[-1]) == ({"_grid_mode": ["child", "parent"]}, {"_grid_mode": ["parent", "parent"]})
     assert forked[:-1] == single[:-1]
     code, out, err, files, _ = forked
     assert (code, err, len(files)) == (0, "", 3 * 6) and out.count("grid.") == 7
+
+
+@pytest.fixture(params=["fork", "one_cpu"])
+def cpus(request, monkeypatch):
+    """The path _side_by_side takes: "fork" where this process may use two CPUs, else "one_cpu"."""
+    if request.param == "fork" and not FORKS:
+        pytest.skip("the platform has no fork start method")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1} if request.param == "fork" else {0}, raising=False)
+    return request.param
+
+
+class TestSideBySide:
+    """cli._side_by_side on both its paths; steps append to a log file, which a forked child shares."""
+
+    @staticmethod
+    def step(log, name, result=None, error=None):
+        def run():
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{name}\n")
+            if error is not None:
+                raise error
+            return name if result is None else result
+
+        return run
+
+    @staticmethod
+    def lines(log):
+        return log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+
+    def test_steps_run_in_order_once_each_and_their_results_arrive_in_order(self, tmp_path, cpus):
+        log = tmp_path / "steps.log"
+        steps = [self.step(log, f"step {i}") for i in range(3)]
+        mine, results = cli._side_by_side(lambda results: list(results), steps, "the test process")
+        assert mine == results == ["step 0", "step 1", "step 2"]
+        assert self.lines(log) == ["step 0", "step 1", "step 2"]
+        assert multiprocessing.active_children() == []
+
+    def test_steps_here_does_not_reach_run_after_it(self, tmp_path, cpus):
+        log = tmp_path / "steps.log"
+
+        def here(results):
+            first = next(results)
+            self.step(log, "here")()
+            return first
+
+        mine, results = cli._side_by_side(here, [self.step(log, f"step {i}") for i in range(3)], "the test process")
+        assert (mine, results) == ("step 0", ["step 0", "step 1", "step 2"])
+        if cpus == "one_cpu":
+            assert self.lines(log) == ["step 0", "here", "step 1", "step 2"]
+        else:
+            assert sorted(self.lines(log)) == ["here", "step 0", "step 1", "step 2"]
+            assert [line for line in self.lines(log) if line != "here"] == ["step 0", "step 1", "step 2"]
+
+    def test_heres_failure_wins_and_every_step_still_runs(self, tmp_path, cpus):
+        log = tmp_path / "steps.log"
+
+        def here(results):
+            raise ValueError("here")
+
+        steps = [self.step(log, "step 0", error=KeyError("step 0")), self.step(log, "step 1")]
+        with pytest.raises(ValueError, match="here"):
+            cli._side_by_side(here, steps, "the test process")
+        assert self.lines(log) == ["step 0", "step 1"]
+
+    def test_a_step_failure_that_here_lets_through_wins_over_a_later_one(self, tmp_path, cpus):
+        log = tmp_path / "steps.log"
+        steps = [
+            self.step(log, "step 0"),
+            self.step(log, "step 1", error=KeyError("step 1")),
+            self.step(log, "step 2", error=IndexError("step 2")),
+        ]
+        with pytest.raises(KeyError, match="step 1"):
+            cli._side_by_side(lambda results: list(results), steps, "the test process")
+        with pytest.raises(KeyError, match="step 1"):  # here() that never reads a result
+            cli._side_by_side(lambda results: None, steps, "the test process")
+        assert self.lines(log) == ["step 0", "step 1", "step 2"] * 2
+
+    def test_results_larger_than_a_pipe_buffer_all_arrive(self, tmp_path, cpus):
+        log = tmp_path / "steps.log"
+        big = [f"{i:04}" * 250 for i in range(1000)]  # about 1 MB pickled, more than a pipe holds
+
+        def here(results):
+            raise ValueError("here")
+
+        steps = [self.step(log, "step 0", result=big), self.step(log, "step 1", result=big)]
+        with deadline(60, "_side_by_side still waits for its child"):
+            assert cli._side_by_side(lambda results: next(results), steps, "the test process") == (big, [big, big])
+            with pytest.raises(ValueError, match="here"):
+                cli._side_by_side(here, steps, "the test process")
+        assert self.lines(log) == ["step 0", "step 1"] * 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not FORKS, reason="the platform has no fork start method")
+    def test_the_child_runs_on_while_a_result_larger_than_a_pipe_waits_to_be_asked_for(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        ready, done = os.pipe()
+        big = [f"{i:04}" * 250 for i in range(1000)]
+
+        def second_step():
+            os.write(done, b"1")
+            return "step 1"
+
+        def here(results):  # asks for the first result only once the second step has run
+            waited = select.select([ready], [], [], 20)[0] == [ready]
+            return waited, next(results)
+
+        try:
+            mine, results = cli._side_by_side(here, [lambda: big, second_step], "the test process")
+        finally:
+            os.close(ready)
+            os.close(done)
+        assert (mine, results) == ((True, big), [big, "step 1"])
+        assert multiprocessing.active_children() == []
 
 
 ADVERSARIAL_INPUTS = [
@@ -1065,24 +1231,31 @@ NON_UTF8_INPUTS = [
     ("eval", "out/manifest.txt"),
     ("eval", "out/tfidf.txt"),
     ("eval", "out/model.txt"),
+    ("eval", "lexicon.tsv"),
 ]
 
 
 class TestRobustness:
     @pytest.mark.parametrize("command, name", NON_UTF8_INPUTS)
-    def test_non_utf8_input_is_data_error(self, workspace, capsys, command, name):
+    def test_non_utf8_input_is_data_error(self, workspace, capsys, monkeypatch, command, name):
         (workspace / "lexicon.tsv").write_text(":)\tsmiley\n", encoding="utf-8")
+        settings = ["--config", workspace / "cfg.ini", "--data.lexicon", workspace / "lexicon.tsv"]
         if command == "eval":
-            assert run(["train", "--config", workspace / "cfg.ini", "--train.epochs", "1"], capsys)[0] == 0
+            assert run(["train", *settings, "--train.epochs", "1"], capsys)[0] == 0
             args = ["eval", "--model-dir", workspace / "out", "--data", workspace / "dev.txt"]
         else:
-            args = [command, "--config", workspace / "cfg.ini", "--data.lexicon", workspace / "lexicon.tsv"]
+            args = [command, *settings]
         with open(workspace / name, "ab") as handle:
             handle.write(b"\xff")
         files = {path: path.read_bytes() for path in workspace.rglob("*") if path.is_file()}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         code, out, err = run(args, capsys)
         assert (code, out) == (3, "")
         assert err.startswith("data error: input is not UTF-8 text: ") and err.count("\n") == 1, err
+        if command == "eval" and FORKS:  # the same on the path where eval does not fork
+            with monkeypatch.context() as patch:
+                one_cpu(patch)
+                assert run(args, capsys) == (code, out, err)
         assert {path: path.read_bytes() for path in workspace.rglob("*") if path.is_file()} == files
 
     @pytest.mark.parametrize("content", ADVERSARIAL_INPUTS)

@@ -22,6 +22,7 @@ from codemix.vectorize import (
     Analyzer,
     AnalyzerKind,
     DocMode,
+    TfIdfModel,
     Vocabulary,
     _count_levels,
     _dense_rank,
@@ -543,6 +544,31 @@ class TestPersistence:
         assert restored == model
         text = "tab\there too"
         assert transform_one(restored, text) == transform_one(model, text)
+
+    def test_escaped_terms_in_both_blocks_round_trip(self, tmp_path):
+        # A fit writes no escape in the word block (word tokens are alphanumeric), so the model is built here.
+        terms = ("\t", "\n", "\r", "\\", "a\\b", "a\\tb", "x")  # in str order
+        vocab = Vocabulary(terms, (1,) * len(terms), 2)
+        model = TfIdfModel(vocab, vocab, WORD, CHAR2, DocMode.ALL_DOCUMENTS)
+        text = format_tfidf(model)
+        assert [line.split("\t")[1] for line in text.split("\n")[1:-1]] == 2 * [
+            "\\t", "\\n", "\\r", "\\\\", "a\\\\b", "a\\\\tb", "x"
+        ]
+        path = tmp_path / "tfidf.txt"
+        save_tfidf(model, str(path))
+        assert parse_tfidf(text) == load_tfidf(str(path)) == model
+        assert format_tfidf(parse_tfidf(text)) == text
+
+    @pytest.mark.parametrize("block", ["w", "c"])
+    def test_a_raw_carriage_return_in_a_term_is_refused_where_no_term_is_escaped(self, block):
+        text = format_tfidf(fit_tfidf(TOY_DOCS, DocMode.ALL_DOCUMENTS))
+        assert "\\" not in text and "\r" not in text
+        lines = text.split("\n")
+        at = next(i for i, line in enumerate(lines) if line.startswith(f"{block}\t"))
+        fields = lines[at].split("\t")
+        lines[at] = "\t".join([fields[0], fields[1] + "\r", *fields[2:]])
+        with pytest.raises(DataError, match="is not a term as _escape_term writes it"):
+            parse_tfidf("\n".join(lines))
 
     def test_file_round_trip(self, tmp_path):
         model = fit_tfidf(TOY_DOCS, DocMode.ALL_DOCUMENTS)
